@@ -154,6 +154,11 @@ impl TrafficSim {
         let n = self.sim.network().node_count();
         let links = self.sim.network().links();
         let gateways = self.sim.network().gateways();
+        // Gateways are distinct nodes: with every node a gateway there is
+        // no source to draw, and the rejection loop below would spin.
+        if gateways.len() >= n {
+            return;
+        }
         for _ in 0..self.config.packets_per_step {
             // Source: a uniformly random non-gateway node.
             let at = loop {
@@ -283,6 +288,16 @@ mod tests {
         assert_eq!(stats.sent, 0);
         assert_eq!(stats.delivery_ratio(), 0.0);
         assert!(stats.mean_latency().is_none());
+    }
+
+    #[test]
+    fn all_gateway_network_sends_nothing_and_terminates() {
+        let net = NetworkBuilder::new(4).gateways(4).build(1).unwrap();
+        let sim = RoutingSim::new(net, RoutingConfig::new(RoutingPolicy::Random, 2), 1).unwrap();
+        let mut t = TrafficSim::new(sim, TrafficConfig::default(), 1);
+        let stats = t.run(5);
+        assert_eq!(stats.sent, 0);
+        assert_eq!(t.in_flight(), 0);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Parallel, resumable, cache-backed execution of experiment cells.
 //!
-//! [`Executor::run_cells`] generalizes [`crate::replicate::run_replicates`]
-//! in three ways while keeping its central guarantee — results come back
-//! indexed by replicate, so output is bit-identical no matter how work was
-//! scheduled:
+//! Every figure in the paper averages 40 independent runs of one parameter
+//! setting "to factor out randomness in the initial placements of the
+//! agents". [`Executor::run_cells`] runs those replicates across worker
+//! threads, and its central guarantee is that results come back indexed
+//! by replicate, so output is bit-identical no matter how work was
+//! scheduled. On top of that it provides:
 //!
 //! * **Global work gating.** All `run_cells` calls on one executor share a
 //!   single permit pool of `jobs` slots, so a driver may run many
@@ -163,11 +165,11 @@ impl Executor {
     /// Runs `runs` replicate cells of `job` and returns their results
     /// in replicate order.
     ///
-    /// Each cell `i` receives `seeds.child(i)` exactly as
-    /// [`crate::replicate::run_replicates`] would, so the returned
-    /// vector is identical to a serial run for every `jobs` setting and
-    /// cache state. `config_hash` (see [`crate::cache::hash_config`])
-    /// identifies the group's configuration for cache addressing.
+    /// Each cell `i` receives `seeds.child(i)`, an independent random
+    /// stream, so the returned vector is identical to a serial run for
+    /// every `jobs` setting and cache state. `config_hash` (see
+    /// [`crate::cache::hash_config`]) identifies the group's
+    /// configuration for cache addressing.
     pub fn run_cells<T, F>(
         &self,
         experiment: &str,
@@ -284,20 +286,16 @@ mod tests {
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
         let seeds = SeedSequence::new(2010).child(77);
-        let serial = Executor::serial().run_cells("t", 1, 24, seeds, sample_job);
-        for jobs in [2, 4, 7] {
-            let parallel = Executor::new(jobs).run_cells("t", 1, 24, seeds, sample_job);
-            let same = serial.iter().zip(&parallel).all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "jobs={jobs} diverged from serial");
+        for runs in [0, 1, 24] {
+            let serial = Executor::serial().run_cells("t", 1, runs, seeds, sample_job);
+            assert_eq!(serial.len(), runs);
+            for jobs in [2, 4, 7] {
+                let parallel = Executor::new(jobs).run_cells("t", 1, runs, seeds, sample_job);
+                assert_eq!(parallel.len(), runs);
+                let same = serial.iter().zip(&parallel).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "runs={runs} jobs={jobs} diverged from serial");
+            }
         }
-    }
-
-    #[test]
-    fn matches_run_replicates_exactly() {
-        let seeds = SeedSequence::new(5).child(3);
-        let legacy = crate::replicate::run_replicates(16, seeds, sample_job);
-        let cells = Executor::new(4).run_cells("t", 9, 16, seeds, sample_job);
-        assert_eq!(legacy, cells);
     }
 
     #[test]
@@ -448,5 +446,18 @@ mod tests {
         let a = Executor::new(3).run_cells("d", 0, 16, SeedSequence::new(5), job);
         let b = Executor::serial().run_cells("d", 0, 16, SeedSequence::new(5), job);
         assert_eq!(a, b);
+
+        // Cell `i` runs on `child(i)` (a lone cell on `child(0)`), so
+        // every replicate draws from a stream of its own.
+        let root = SeedSequence::new(1);
+        for runs in [1, 32] {
+            let seeds = Executor::new(3).run_cells("d", 1, runs, root, |_, s| s.seed());
+            let expected: Vec<u64> = (0..runs as u64).map(|i| root.child(i).seed()).collect();
+            assert_eq!(seeds, expected);
+            let mut distinct = seeds.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), runs);
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Deterministic time-step / discrete-event simulation engine.
+//! Deterministic time-step simulation engine.
 //!
 //! This crate is the paper's "2000/3000 lines of Java ... discrete event
 //! scheduler, data-collection system" substrate, rebuilt as a reusable Rust
@@ -9,28 +9,24 @@
 //! * [`invariant`] — per-step invariant checking: an [`Invariant`]
 //!   registry the checked driver [`run_until_checked`] threads through
 //!   every simulation step (opt-in; the plain driver is untouched).
-//! * [`events`] — a deterministic discrete-event queue (time plus insertion
-//!   sequence ordering) for event-driven extensions.
 //! * [`rng`] — reproducible random-number streams: a master seed fans out
 //!   into independent per-run / per-component streams.
 //! * [`timeseries`] — per-step metric recording with windowed statistics
 //!   (the paper averages connectivity over steps 150–300).
 //! * [`stats`] — summary statistics and normal-approximation confidence
 //!   intervals over replicate runs.
-//! * [`replicate`] — a parallel replication runner (the paper repeats every
-//!   parameter setting 40 times).
 //! * [`cache`] — a content-addressed on-disk store of replicate results,
 //!   keyed by experiment, configuration hash, and replicate seed.
 //! * [`exec`] — the cell executor: flattens (experiment × parameter ×
 //!   replicate) work across a shared worker pool, resumes from the cache,
-//!   and emits structured run events.
+//!   and emits structured run events. Every replicated run goes through
+//!   it (the paper repeats every parameter setting 40 times).
 //! * [`obs`] — structured observability: counters, gauges, fixed-bucket
 //!   histograms and span timers behind a zero-overhead-when-disabled
 //!   [`Metrics`] handle, snapshot-exportable as JSON or Prometheus text.
 //! * [`perf`] — the micro-benchmark harness behind `repro bench`:
 //!   warmup/measure kernel timing, `BENCH_<date>.json` reports, and the
 //!   calibration-normalized regression gate.
-//! * [`sweep`] — parameter sweeps producing labelled result rows.
 //! * [`table`] — markdown / CSV / JSON emission of result tables.
 //! * [`plot`] — terminal sparklines and block charts of time series.
 //!
@@ -55,17 +51,14 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod events;
 pub mod exec;
 pub mod invariant;
 pub mod obs;
 pub mod perf;
 pub mod plot;
-pub mod replicate;
 pub mod rng;
 pub mod sim;
 pub mod stats;
-pub mod sweep;
 pub mod table;
 pub mod timeseries;
 

@@ -1,9 +1,8 @@
 //! Property-based tests for the simulation engine.
 
-use agentnet_engine::events::EventQueue;
 use agentnet_engine::rng::SeedSequence;
 use agentnet_engine::stats::Summary;
-use agentnet_engine::{Step, TimeSeries};
+use agentnet_engine::TimeSeries;
 use proptest::prelude::*;
 
 proptest! {
@@ -53,32 +52,6 @@ proptest! {
             let hi = a[i].max(b[i]);
             prop_assert!(lo - 1e-12 <= m.values()[i] && m.values()[i] <= hi + 1e-12);
         }
-    }
-
-    #[test]
-    fn event_queue_pops_in_nondecreasing_time(times in proptest::collection::vec(0u64..1000, 0..64)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(Step::new(t), i);
-        }
-        let mut last = Step::ZERO;
-        let mut count = 0;
-        while let Some(ev) = q.pop() {
-            prop_assert!(ev.at >= last);
-            last = ev.at;
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
-    }
-
-    #[test]
-    fn event_queue_same_time_preserves_fifo(n in 1usize..64, t in 0u64..100) {
-        let mut q = EventQueue::new();
-        for i in 0..n {
-            q.schedule(Step::new(t), i);
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|e| e.event).collect();
-        prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
     }
 
     #[test]

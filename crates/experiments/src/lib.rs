@@ -77,7 +77,7 @@ use agentnet_engine::rng::SeedSequence;
 use agentnet_engine::{Executor, Summary, TimeSeries};
 use agentnet_graph::generators::GeometricConfig;
 use agentnet_graph::DiGraph;
-use agentnet_radio::NetworkBuilder;
+use agentnet_radio::{NetworkBuilder, WirelessNetwork};
 use serde::{Deserialize, Serialize};
 
 /// How much compute an experiment run spends.
@@ -245,20 +245,7 @@ impl<'a> Ctx<'a> {
             m.counter_add("routing_footprint_writes_total", o.footprint_writes);
             m.counter_add("routing_table_writes_total", o.table_writes);
             m.counter_add("trace_events_total", sim.trace().total_recorded());
-            let s = sim.network().stats();
-            m.counter_add("radio_steps_total", s.advances);
-            m.counter_add("radio_link_rebuilds_total", s.link_rebuilds);
-            m.counter_add("radio_topology_bumps_total", s.topology_bumps);
-            m.counter_add("radio_links_formed_total", s.links_formed);
-            m.counter_add("radio_links_broken_total", s.links_broken);
-            m.counter_add("radio_battery_decay_steps_total", s.battery_decay_steps);
-            m.counter_add("radio_grid_cell_clamps_total", s.grid_cell_clamps);
-            m.counter_add("radio_grid_incremental_total", s.grid_incremental_updates);
-            // Gauge, not counter: the shard count is configuration. A
-            // nonzero clamp counter or an unexpected shard gauge in a
-            // repro artifact flags a run whose spatial index degraded
-            // or whose parallelism differed from the manifest.
-            m.gauge_set("radio_advance_shards", sim.network().advance_shards() as f64);
+            observe_network(m, sim.network());
         }
         if let Some(t) = self.traces {
             t.record(self.id, kind, stream, replicate, sim.trace());
@@ -286,18 +273,28 @@ impl<'a> Ctx<'a> {
             m.counter_add("zoo_meeting_messages_total", o.meeting_messages);
             m.counter_add("zoo_footprint_writes_total", o.footprint_writes);
             m.counter_add("zoo_table_writes_total", o.table_writes);
-            let s = sim.network().stats();
-            m.counter_add("radio_steps_total", s.advances);
-            m.counter_add("radio_link_rebuilds_total", s.link_rebuilds);
-            m.counter_add("radio_topology_bumps_total", s.topology_bumps);
-            m.counter_add("radio_links_formed_total", s.links_formed);
-            m.counter_add("radio_links_broken_total", s.links_broken);
-            m.counter_add("radio_battery_decay_steps_total", s.battery_decay_steps);
-            m.counter_add("radio_grid_cell_clamps_total", s.grid_cell_clamps);
-            m.counter_add("radio_grid_incremental_total", s.grid_incremental_updates);
-            m.gauge_set("radio_advance_shards", sim.network().advance_shards() as f64);
+            observe_network(m, sim.network());
         }
     }
+}
+
+/// Folds a finished replicate's [`agentnet_radio::NetStats`] (link
+/// churn, topology bumps, battery decay) into the metrics registry.
+fn observe_network(m: &Metrics, net: &WirelessNetwork) {
+    let s = net.stats();
+    m.counter_add("radio_steps_total", s.advances);
+    m.counter_add("radio_link_rebuilds_total", s.link_rebuilds);
+    m.counter_add("radio_topology_bumps_total", s.topology_bumps);
+    m.counter_add("radio_links_formed_total", s.links_formed);
+    m.counter_add("radio_links_broken_total", s.links_broken);
+    m.counter_add("radio_battery_decay_steps_total", s.battery_decay_steps);
+    m.counter_add("radio_grid_cell_clamps_total", s.grid_cell_clamps);
+    m.counter_add("radio_grid_incremental_total", s.grid_incremental_updates);
+    // Gauge, not counter: the shard count is configuration. A nonzero
+    // clamp counter or an unexpected shard gauge in a repro artifact
+    // flags a run whose spatial index degraded or whose parallelism
+    // differed from the manifest.
+    m.gauge_set("radio_advance_shards", net.advance_shards() as f64);
 }
 
 /// Order-sensitive fingerprint of a graph's structure, for keying

@@ -12,23 +12,23 @@
 
 use agentnet::core::mapping::{MappingConfig, MappingSim};
 use agentnet::core::policy::MappingPolicy;
-use agentnet::engine::replicate::run_replicates;
 use agentnet::engine::rng::SeedSequence;
 use agentnet::engine::table::Table;
-use agentnet::engine::Summary;
+use agentnet::engine::{Executor, Summary};
 use agentnet::graph::generators::GeometricConfig;
 use agentnet::graph::geometry::Rect;
 use agentnet::graph::DiGraph;
 
 fn survey(graph: &DiGraph, policy: MappingPolicy, team: usize, stigmergic: bool) -> Summary {
-    let samples = run_replicates(10, SeedSequence::new(99), |_, seeds| {
-        let config = MappingConfig::new(policy, team).stigmergic(stigmergic);
-        let mut sim =
-            MappingSim::new(graph.clone(), config, seeds.seed()).expect("valid survey config");
-        let out = sim.run(1_000_000);
-        assert!(out.finished, "survey did not finish");
-        out.finishing_time.as_f64()
-    });
+    let samples =
+        Executor::new(0).run_cells("campus_mapping", 0, 10, SeedSequence::new(99), |_, seeds| {
+            let config = MappingConfig::new(policy, team).stigmergic(stigmergic);
+            let mut sim =
+                MappingSim::new(graph.clone(), config, seeds.seed()).expect("valid survey config");
+            let out = sim.run(1_000_000);
+            assert!(out.finished, "survey did not finish");
+            out.finishing_time.as_f64()
+        });
     Summary::from_samples(samples).expect("replicates ran")
 }
 

@@ -12,10 +12,9 @@
 
 use agentnet::core::policy::RoutingPolicy;
 use agentnet::core::routing::{RoutingConfig, RoutingSim};
-use agentnet::engine::replicate::run_replicates;
 use agentnet::engine::rng::SeedSequence;
 use agentnet::engine::table::Table;
-use agentnet::engine::Summary;
+use agentnet::engine::{Executor, Summary};
 use agentnet::radio::NetworkBuilder;
 
 const STEPS: u64 = 300;
@@ -32,12 +31,13 @@ fn field_network() -> NetworkBuilder {
 }
 
 fn connectivity(config: &RoutingConfig) -> Summary {
-    let samples = run_replicates(10, SeedSequence::new(5), |_, seeds| {
-        let net = field_network().build(33).expect("field network builds");
-        let mut sim =
-            RoutingSim::new(net, config.clone(), seeds.seed()).expect("valid routing config");
-        sim.run(STEPS).mean_connectivity(WINDOW).expect("window inside run")
-    });
+    let samples =
+        Executor::new(0).run_cells("manet_routing", 0, 10, SeedSequence::new(5), |_, seeds| {
+            let net = field_network().build(33).expect("field network builds");
+            let mut sim =
+                RoutingSim::new(net, config.clone(), seeds.seed()).expect("valid routing config");
+            sim.run(STEPS).mean_connectivity(WINDOW).expect("window inside run")
+        });
     Summary::from_samples(samples).expect("replicates ran")
 }
 

@@ -14,43 +14,45 @@
 use agentnet::core::mapping::{MappingConfig, MappingSim};
 use agentnet::core::policy::{MappingPolicy, RoutingPolicy};
 use agentnet::core::routing::{RoutingConfig, RoutingSim};
-use agentnet::engine::replicate::run_replicates;
 use agentnet::engine::rng::SeedSequence;
 use agentnet::engine::table::Table;
-use agentnet::engine::Summary;
+use agentnet::engine::{Executor, Summary};
 use agentnet::graph::generators::GeometricConfig;
 use agentnet::graph::DiGraph;
 use agentnet::radio::NetworkBuilder;
 
 fn mapping_time(graph: &DiGraph, capacity: usize, window: u64) -> Summary {
-    let samples = run_replicates(8, SeedSequence::new(3), |_, seeds| {
-        let config = MappingConfig::new(MappingPolicy::Conscientious, 15)
-            .stigmergic(true)
-            .footprint_capacity(capacity)
-            .footprint_window(window);
-        let mut sim = MappingSim::new(graph.clone(), config, seeds.seed()).expect("valid config");
-        let out = sim.run(1_000_000);
-        assert!(out.finished);
-        out.finishing_time.as_f64()
-    });
+    let samples =
+        Executor::new(0).run_cells("mapping_time", 0, 8, SeedSequence::new(3), |_, seeds| {
+            let config = MappingConfig::new(MappingPolicy::Conscientious, 15)
+                .stigmergic(true)
+                .footprint_capacity(capacity)
+                .footprint_window(window);
+            let mut sim =
+                MappingSim::new(graph.clone(), config, seeds.seed()).expect("valid config");
+            let out = sim.run(1_000_000);
+            assert!(out.finished);
+            out.finishing_time.as_f64()
+        });
     Summary::from_samples(samples).expect("replicates ran")
 }
 
 fn routing_conn(capacity: usize, window: u64) -> Summary {
-    let samples = run_replicates(8, SeedSequence::new(4), |_, seeds| {
-        let net = NetworkBuilder::new(150)
-            .gateways(6)
-            .target_edges(1200)
-            .build(17)
-            .expect("network builds");
-        let config = RoutingConfig::new(RoutingPolicy::OldestNode, 60)
-            .communication(true)
-            .stigmergic(true)
-            .footprint_capacity(capacity)
-            .footprint_window(window);
-        let mut sim = RoutingSim::new(net, config, seeds.seed()).expect("valid config");
-        sim.run(300).mean_connectivity(150..300).expect("window inside run")
-    });
+    let samples =
+        Executor::new(0).run_cells("routing_conn", 0, 8, SeedSequence::new(4), |_, seeds| {
+            let net = NetworkBuilder::new(150)
+                .gateways(6)
+                .target_edges(1200)
+                .build(17)
+                .expect("network builds");
+            let config = RoutingConfig::new(RoutingPolicy::OldestNode, 60)
+                .communication(true)
+                .stigmergic(true)
+                .footprint_capacity(capacity)
+                .footprint_window(window);
+            let mut sim = RoutingSim::new(net, config, seeds.seed()).expect("valid config");
+            sim.run(300).mean_connectivity(150..300).expect("window inside run")
+        });
     Summary::from_samples(samples).expect("replicates ran")
 }
 

@@ -3,9 +3,9 @@
 
 use agentnet::core::mapping::{MappingConfig, MappingSim};
 use agentnet::core::policy::{MappingPolicy, TieBreak};
-use agentnet::engine::replicate::run_replicates;
 use agentnet::engine::rng::SeedSequence;
 use agentnet::engine::sim::{Step, TimeStepSim};
+use agentnet::engine::Executor;
 use agentnet::graph::connectivity::is_strongly_connected;
 use agentnet::graph::generators::GeometricConfig;
 use agentnet::graph::DiGraph;
@@ -29,8 +29,8 @@ fn full_pipeline_replicated_mapping_is_deterministic() {
         let mut sim = MappingSim::new(g.clone(), cfg, seeds.seed()).expect("valid config");
         sim.run(200_000).finishing_time.as_u64()
     };
-    let a = run_replicates(6, SeedSequence::new(77), job);
-    let b = run_replicates(6, SeedSequence::new(77), job);
+    let a = Executor::new(0).run_cells("mapping", 0, 6, SeedSequence::new(77), job);
+    let b = Executor::new(0).run_cells("mapping", 0, 6, SeedSequence::new(77), job);
     assert_eq!(a, b, "replicated pipeline must be bit-deterministic");
     // Replicates must actually differ from each other (distinct streams).
     assert!(a.windows(2).any(|w| w[0] != w[1]), "all replicates identical: {a:?}");
@@ -40,13 +40,14 @@ fn full_pipeline_replicated_mapping_is_deterministic() {
 fn cooperation_speeds_up_mapping() {
     let g = test_graph();
     let finish = |pop: usize| {
-        let samples = run_replicates(6, SeedSequence::new(3), |_, seeds| {
-            let cfg = MappingConfig::new(MappingPolicy::Conscientious, pop);
-            let mut sim = MappingSim::new(g.clone(), cfg, seeds.seed()).expect("valid config");
-            let out = sim.run(500_000);
-            assert!(out.finished);
-            out.finishing_time.as_f64()
-        });
+        let samples =
+            Executor::new(0).run_cells("mapping", 0, 6, SeedSequence::new(3), |_, seeds| {
+                let cfg = MappingConfig::new(MappingPolicy::Conscientious, pop);
+                let mut sim = MappingSim::new(g.clone(), cfg, seeds.seed()).expect("valid config");
+                let out = sim.run(500_000);
+                assert!(out.finished);
+                out.finishing_time.as_f64()
+            });
         samples.iter().sum::<f64>() / samples.len() as f64
     };
     let solo = finish(1);

@@ -4,9 +4,9 @@
 
 use agentnet::core::policy::RoutingPolicy;
 use agentnet::core::routing::{RoutingConfig, RoutingSim};
-use agentnet::engine::replicate::run_replicates;
 use agentnet::engine::rng::SeedSequence;
 use agentnet::engine::sim::{Step, TimeStepSim};
+use agentnet::engine::Executor;
 use agentnet::radio::NetworkBuilder;
 
 fn builder() -> NetworkBuilder {
@@ -48,8 +48,8 @@ fn replicated_routing_is_deterministic_and_varied() {
         let mut sim = RoutingSim::new(net, cfg, seeds.seed()).expect("valid config");
         sim.run(80).mean_connectivity(40..80).unwrap()
     };
-    let a = run_replicates(5, SeedSequence::new(31), job);
-    let b = run_replicates(5, SeedSequence::new(31), job);
+    let a = Executor::new(0).run_cells("routing", 0, 5, SeedSequence::new(31), job);
+    let b = Executor::new(0).run_cells("routing", 0, 5, SeedSequence::new(31), job);
     assert_eq!(a, b);
     assert!(a.windows(2).any(|w| w[0] != w[1]), "replicates identical: {a:?}");
 }
