@@ -89,7 +89,7 @@
 //! boots the route-query daemon (see `agentnet_serve`): a step thread
 //! advances the chosen protocol arm on a `--nodes`-node scaled preset
 //! while UDP worker threads answer route/link/reachability queries from
-//! a double-buffered map snapshot, and `--http-port` serves
+//! the current map snapshot, and `--http-port` serves
 //! `GET /metrics` for scraping. The startup line on stdout names the
 //! bound addresses; `--duration-secs` bounds the serving window (0 =
 //! until the step budget completes, or forever for a frozen map). On

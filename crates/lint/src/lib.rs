@@ -13,7 +13,7 @@
 //! | `no-panic-in-kernel` | step-path modules cannot abort mid-run |
 //! | `no-alloc-in-hot-path` | `#[agentnet::hot_path]` kernels stay allocation-free |
 //! | `no-lossy-cast` | float<->int `as` casts live only in clamped helpers |
-//! | `no-relaxed-atomics` | weak atomic orderings stay in the loom-proven sync core |
+//! | `no-relaxed-atomics` | weak atomic orderings only behind an audited allow |
 //! | `no-lock-in-kernel` | kernels stay lock-free; shared reads go through the snapshot cell |
 //! | `no-bare-spawn` | threads are scoped or owned by the serve worker set |
 //!

@@ -1,12 +1,10 @@
-//! `no-relaxed-atomics`: weak atomic orderings are confined to the
-//! loom-proven sync core.
+//! `no-relaxed-atomics`: no weak atomic orderings outside audited
+//! exceptions.
 //!
-//! The serve layer's publish/load/stop protocol is exhaustively model
-//! checked (`crates/serve/tests/loom.rs`), and every `Ordering::` in
-//! that protocol carries an invariant comment naming the edge it
-//! provides. An `Ordering::Relaxed` (no cross-thread visibility) or
-//! `Ordering::AcqRel` (a combined pairing that deserves an argument)
-//! anywhere *else* is either a latent reordering bug or an undocumented
+//! Every `Ordering::` in the workspace carries an invariant comment
+//! naming the edge it provides. An `Ordering::Relaxed` (no cross-thread
+//! visibility) or `Ordering::AcqRel` (a combined pairing that deserves
+//! an argument) is either a latent reordering bug or an undocumented
 //! cleverness — both of which this rule makes explicit: use the plain
 //! Acquire/Release pair, or keep the weak ordering behind an
 //! `agentlint::allow` with a justification (e.g. a ticket counter where
@@ -17,23 +15,16 @@ use crate::rules::{ident_at, path_sep_at, Finding, Rule};
 
 pub struct RelaxedAtomics;
 
-/// The sanctioned sync core: the snapshot cell (every ordering proven
-/// by `tests/loom.rs`) and the `std`/`loom` shim it is built on.
-const SYNC_FILES: &[&str] = &["crates/serve/src/cell.rs", "crates/serve/src/sync.rs"];
-
 impl Rule for RelaxedAtomics {
     fn name(&self) -> &'static str {
         "no-relaxed-atomics"
     }
 
     fn description(&self) -> &'static str {
-        "Ordering::Relaxed / Ordering::AcqRel outside the loom-proven sync core (serve cell + shim)"
+        "Ordering::Relaxed / Ordering::AcqRel without an audited agentlint::allow"
     }
 
     fn check(&self, ctx: &FileContext, findings: &mut Vec<Finding>) {
-        if SYNC_FILES.contains(&ctx.rel_path.as_str()) {
-            return;
-        }
         let toks = &ctx.tokens;
         for i in 0..toks.len() {
             if ctx.in_test(i) {
@@ -94,14 +85,6 @@ mod tests {
                    \x20   a.load(Ordering::Acquire)\n\
                    }\n";
         assert!(run("crates/engine/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn sync_core_is_exempt() {
-        let src = "fn f(a: &AtomicU64) { a.store(1, Ordering::Relaxed); }\n";
-        assert!(run("crates/serve/src/cell.rs", src).is_empty());
-        assert!(run("crates/serve/src/sync.rs", src).is_empty());
-        assert!(!run("crates/serve/src/server.rs", src).is_empty());
     }
 
     #[test]

@@ -460,9 +460,11 @@ impl WirelessNetwork {
         // computation (diffed against the still-unrefreshed snapshot),
         // the grid moves just those nodes between cells. The grid
         // refuses when geometry changed (cell size follows `max_range`,
-        // so any battery decay forces a full re-index) or the grid is in
-        // a clamped regime, keeping contents and clamp accounting
-        // byte-identical to the from-scratch path.
+        // so decay of the node holding the largest range forces a full
+        // re-index; decay elsewhere, e.g. under a mains gateway's
+        // larger range, does not) or the grid is in a clamped regime,
+        // keeping contents and clamp accounting byte-identical to the
+        // from-scratch path.
         if !self.try_incremental_grid(max_range) {
             let shards = self.advance_shards.min(self.positions.len()).max(1);
             match self.grid.rebuild_sharded(self.arena, max_range, &self.positions, shards) {
@@ -739,36 +741,39 @@ mod tests {
 
     #[test]
     fn incremental_grid_path_engages_and_matches_full_rebuild() {
-        // One mobile node out of 100 (1% < GRID_INCREMENTAL_MAX_MOVED),
-        // mains power everywhere so the cell size never drifts: the
-        // incremental path must engage, and the resulting grid, links
-        // and topology must match an incremental-disabled twin exactly.
-        let build = |incremental: bool| {
-            NetworkBuilder::new(100)
-                .gateways(4)
-                .mobile_fraction(0.01)
-                .mobile_battery(BatteryModel::Mains)
-                .min_initial_reachability(0.0)
-                .grid_incremental(incremental)
-                .build(11)
-                .unwrap()
-        };
-        let mut with_inc = build(true);
-        let mut without = build(false);
-        for _ in 0..20 {
-            with_inc.advance();
-            without.advance();
-            assert_eq!(with_inc.grid_cells(), without.grid_cells());
-            assert_eq!(with_inc.links(), without.links());
-            assert_eq!(with_inc.topology_version(), without.topology_version());
+        // One mobile node out of 100 (1% < GRID_INCREMENTAL_MAX_MOVED):
+        // the incremental path must engage, and the resulting grid,
+        // links and topology must match an incremental-disabled twin
+        // exactly. Battery decay does not stop it: a mains gateway holds
+        // the largest range, so the cell size never drifts.
+        for battery in [BatteryModel::Mains, BatteryModel::paper_mobile()] {
+            let build = |incremental: bool| {
+                NetworkBuilder::new(100)
+                    .gateways(4)
+                    .mobile_fraction(0.01)
+                    .mobile_battery(battery)
+                    .min_initial_reachability(0.0)
+                    .grid_incremental(incremental)
+                    .build(11)
+                    .unwrap()
+            };
+            let mut with_inc = build(true);
+            let mut without = build(false);
+            for _ in 0..20 {
+                with_inc.advance();
+                without.advance();
+                assert_eq!(with_inc.grid_cells(), without.grid_cells());
+                assert_eq!(with_inc.links(), without.links());
+                assert_eq!(with_inc.topology_version(), without.topology_version());
+            }
+            let stats = with_inc.stats();
+            assert!(
+                stats.grid_incremental_updates > 0,
+                "1% mobility must take the incremental grid path ({battery:?})"
+            );
+            assert_eq!(without.stats().grid_incremental_updates, 0);
+            assert_eq!(stats.grid_cell_clamps, 0);
         }
-        let stats = with_inc.stats();
-        assert!(
-            stats.grid_incremental_updates > 0,
-            "1% mobility under mains power must take the incremental grid path"
-        );
-        assert_eq!(without.stats().grid_incremental_updates, 0);
-        assert_eq!(stats.grid_cell_clamps, 0);
     }
 
     #[test]

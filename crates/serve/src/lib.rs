@@ -9,13 +9,11 @@
 //!   step, captures a self-contained [`snapshot::MapSnapshot`] (best
 //!   route per node, live link rows, per-node reachability from
 //!   [`agentnet_core::routing::RouteIndex`]);
-//! * snapshots are published through the **sequence-keyed,
-//!   double-buffered** [`cell::SnapshotCell`] — readers clone an `Arc`
-//!   and answer entirely from one immutable snapshot, so queries never
-//!   block the step thread and never mix state across a swap; the cell
-//!   is built on the [`sync`] shim and its publish/load/stop protocol
-//!   is exhaustively model-checked under `RUSTFLAGS="--cfg loom"`
-//!   (`tests/loom.rs`);
+//! * snapshots are published through [`snapshot::SnapshotCell`], one
+//!   mutex around the current snapshot `Arc` — readers clone the `Arc`
+//!   and answer entirely from one immutable snapshot, so a query holds
+//!   the lock only for a refcount increment and never mixes state
+//!   across a swap;
 //! * **UDP worker threads** answer the wire protocol of [`wire`]
 //!   (best-gateway-from-node, current link set, reachability-of-node),
 //!   and an optional minimal **HTTP listener** serves `/metrics` in
@@ -30,13 +28,10 @@
 //! given `(preset, protocol, seed, steps)` is byte-identical to a batch
 //! run of the same arm.
 
-pub mod cell;
 pub mod clock;
 pub mod server;
 pub mod snapshot;
-pub mod sync;
 pub mod wire;
 
-pub use cell::{SnapshotCell, SnapshotHeader, Versioned};
 pub use server::{ServeConfig, ServeError, Server, QUERY_MICROS_BUCKETS, STALENESS_MICROS_BUCKETS};
-pub use snapshot::{MapSnapshot, RouteAnswer};
+pub use snapshot::{MapSnapshot, RouteAnswer, SnapshotCell, SnapshotHeader};

@@ -24,8 +24,6 @@
 
 use crate::clock;
 use crate::snapshot::{MapSnapshot, SnapshotCell};
-use crate::sync::atomic::{AtomicBool, Ordering};
-use crate::sync::Arc;
 use crate::wire;
 use agentnet_baselines::zoo::{build_protocol, ZooParams};
 use agentnet_core::routing::{ProtocolKind, RouteIndex};
@@ -35,6 +33,8 @@ use agentnet_radio::NetworkBuilder;
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -239,7 +239,7 @@ impl Server {
                         // `stepping_done`: observing done == true
                         // happens-after the final publish, so the next
                         // `cell.load()` returns the final snapshot
-                        // (loom: `stop_handshake_delivers_the_final_snapshot`).
+                        // (`stepping_daemon_advances_the_published_snapshot`).
                         done.store(true, Ordering::Release);
                     })
                     .map_err(ServeError::Io)?,

@@ -1,5 +1,5 @@
-//! Self-contained map snapshots, published through the sequence-keyed
-//! cell in [`crate::cell`].
+//! Self-contained map snapshots and the [`SnapshotCell`] that
+//! publishes them.
 //!
 //! A [`MapSnapshot`] freezes everything a query needs — best route per
 //! node, live out-link rows, per-node reachability, the gateway set —
@@ -11,20 +11,99 @@
 //! construction (ages are precomputed at capture with saturating
 //! arithmetic, and [`SnapshotCell::publish`] rejects any non-monotone
 //! header).
-//!
-//! The swap point itself — [`SnapshotCell`] — lives in [`crate::cell`]
-//! behind the [`crate::sync`] shim, where its publish/load/stop
-//! protocol is exhaustively model-checked (`tests/loom.rs`); this
-//! module owns what a snapshot *contains* and how one is captured.
 
-use crate::cell::{SnapshotHeader, Versioned};
 use crate::clock;
 use agentnet_core::routing::{RouteIndex, RoutingProtocol};
 use agentnet_engine::Step;
 use agentnet_graph::NodeId;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-pub use crate::cell::SnapshotCell;
+/// The monotone header every snapshot carries: publish sequence, step
+/// count, and link-topology version. Within one [`SnapshotCell`] all
+/// three are nondecreasing (`seq` strictly increasing), which is what
+/// makes cross-swap reads safe: any two values a reader takes from one
+/// snapshot belong to the same `(step, topology_version)` pair.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SnapshotHeader {
+    /// Publish sequence number, assigned by [`SnapshotCell::publish`]
+    /// (the initial snapshot is `1`).
+    pub seq: u64,
+    /// Simulation steps executed when the snapshot was captured.
+    pub step: u64,
+    /// The substrate's link-topology version at capture.
+    pub topology_version: u64,
+}
+
+/// The publish point: the current snapshot and the one it replaced,
+/// under one mutex.
+///
+/// Both critical sections only clone or move whole `Arc`s, so readers
+/// hold the lock for a refcount increment and nothing is allocated or
+/// freed under it. The replaced snapshot stays *retired* for one more
+/// publish: freeing a 10k-node snapshot drops 10k row `Vec`s, and
+/// without the retired slot the last query worker holding it would pay
+/// that on its latency. With it, the step thread frees generation `g`
+/// when it publishes `g + 2`, after unlocking.
+pub struct SnapshotCell {
+    /// `(current, retired)`.
+    slots: Mutex<(Arc<MapSnapshot>, Option<Arc<MapSnapshot>>)>,
+}
+
+impl SnapshotCell {
+    /// Creates a cell publishing `initial` as sequence 1.
+    pub fn new(mut initial: MapSnapshot) -> Self {
+        initial.header.seq = 1;
+        SnapshotCell { slots: Mutex::new((Arc::new(initial), None)) }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, (Arc<MapSnapshot>, Option<Arc<MapSnapshot>>)> {
+        // A panic under the lock cannot leave a half-written pair: the
+        // critical sections only clone or swap whole `Arc`s.
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The current snapshot. Answer whole queries from the returned
+    /// `Arc`, never from repeated `load` calls — one clone is one
+    /// consistent point in time.
+    pub fn load(&self) -> Arc<MapSnapshot> {
+        Arc::clone(&self.lock().0)
+    }
+
+    /// Publishes `snap` as the new current snapshot, assigning the next
+    /// sequence number. Publishers are serialized by the lock, so
+    /// concurrent callers are safe (the step thread is the only
+    /// production publisher).
+    ///
+    /// # Errors
+    ///
+    /// Rejects (and drops) a snapshot whose `step` or
+    /// `topology_version` would move backwards relative to the
+    /// currently published header.
+    pub fn publish(&self, snap: MapSnapshot) -> Result<u64, String> {
+        let mut next = Arc::new(snap);
+        let mut slots = self.lock();
+        let (old, new) = (slots.0.header, next.header);
+        if new.step < old.step || new.topology_version < old.topology_version {
+            drop(slots);
+            return Err(format!(
+                "non-monotone snapshot rejected: step {} -> {}, topology {} -> {}",
+                old.step, new.step, old.topology_version, new.topology_version
+            ));
+        }
+        let seq = old.seq + 1;
+        // `next` is not shared yet, so this always stamps. The seq is
+        // deliberately outside the fingerprint: `validate` keeps passing.
+        if let Some(fresh) = Arc::get_mut(&mut next) {
+            fresh.header.seq = seq;
+        }
+        let replaced = std::mem::replace(&mut slots.0, next);
+        let freed = slots.1.replace(replaced);
+        drop(slots);
+        drop(freed);
+        Ok(seq)
+    }
+}
 
 /// One node's best current route: the fewest-hop table entry whose
 /// next-hop link is live at capture time (ties broken by lower gateway
@@ -269,18 +348,6 @@ impl MapSnapshot {
     }
 }
 
-impl Versioned for MapSnapshot {
-    fn header(&self) -> SnapshotHeader {
-        self.header
-    }
-
-    fn stamp_seq(&mut self, seq: u64) {
-        // Deliberately outside the fingerprint: the cell assigns it
-        // after capture, and `validate` must keep passing.
-        self.header.seq = seq;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,6 +437,21 @@ mod tests {
             assert_eq!(seq, 2 + k);
             assert_eq!(cell.load().header().seq, seq);
         }
+    }
+
+    #[test]
+    fn cell_retires_the_replaced_snapshot_for_one_publish() {
+        let (protocol, mut index, first) = snapshot_after(10, 2);
+        let cell = SnapshotCell::new(first);
+        let generation_one = Arc::downgrade(&cell.load());
+        let mut publish = |step| {
+            let snap = MapSnapshot::capture(protocol.as_ref(), &mut index, Step::new(step));
+            cell.publish(snap).unwrap();
+        };
+        publish(11);
+        assert!(generation_one.upgrade().is_some(), "retired, not yet freed");
+        publish(12);
+        assert!(generation_one.upgrade().is_none(), "freed by the second publish");
     }
 
     #[test]

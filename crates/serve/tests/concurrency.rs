@@ -1,5 +1,5 @@
-//! Swap-vs-read stress and consistency tests for the double-buffered
-//! snapshot cell, plus the frozen-daemon-vs-batch golden check.
+//! Swap-vs-read stress and consistency tests for the snapshot cell,
+//! racing publishers, and the frozen-daemon-vs-batch golden check.
 
 use agentnet_baselines::zoo::{build_protocol, ZooParams};
 use agentnet_core::routing::{ProtocolKind, RouteIndex, RoutingProtocol};
@@ -72,6 +72,41 @@ fn readers_never_observe_torn_or_time_reversed_snapshots() {
     let final_snap = cell.load();
     assert_eq!(final_snap.header().step, STEPS);
     assert_eq!(final_snap.header().seq, STEPS + 1);
+}
+
+/// Two racing publishers of the same step are serialized by the cell's
+/// lock: both get distinct, consecutive sequence numbers and the cell
+/// ends on the newest one. (Racing *different* steps is deliberately
+/// not tested: the cell may reject whichever lands second.)
+#[test]
+fn concurrent_same_step_publishers_get_consecutive_sequence_numbers() {
+    let mut protocol = arm(100, 3);
+    let mut index = RouteIndex::new(100);
+    let initial = MapSnapshot::capture(protocol.as_ref(), &mut index, Step::ZERO);
+    protocol.step(Step::ZERO);
+    let same_step = MapSnapshot::capture(protocol.as_ref(), &mut index, Step::new(1));
+    let cell = SnapshotCell::new(initial);
+    let barrier = std::sync::Barrier::new(2);
+
+    let mut seqs: Vec<u64> = std::thread::scope(|scope| {
+        let publishers: Vec<_> = (0..2)
+            .map(|_| {
+                let snap = same_step.clone();
+                let (cell, barrier) = (&cell, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    cell.publish(snap).expect("same-step publishes are monotone")
+                })
+            })
+            .collect();
+        publishers.into_iter().map(|p| p.join().expect("publisher panicked")).collect()
+    });
+    seqs.sort_unstable();
+    assert_eq!(seqs, [2, 3], "the lock serializes sequence assignment");
+    let last = cell.load();
+    last.validate().expect("final snapshot is untorn");
+    assert_eq!(last.header().seq, 3);
+    assert_eq!(last.header().step, 1);
 }
 
 /// The golden check behind `repro serve --steps 0`: a frozen snapshot

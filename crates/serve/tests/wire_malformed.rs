@@ -4,8 +4,6 @@
 //! no byte soup panics the parser. The exact error strings are pinned
 //! here because operators match on them when debugging client bugs.
 
-#![cfg(not(loom))]
-
 use agentnet_engine::obs::Metrics;
 use agentnet_serve::wire::{self, Request};
 use agentnet_serve::{ServeConfig, Server};
