@@ -51,8 +51,8 @@ pub enum RunEvent {
     },
 }
 
-/// Counting semaphore over std primitives (the vendored `parking_lot`
-/// has no `Condvar`), sized once at executor construction.
+/// Counting semaphore over a std `Mutex` and `Condvar`, sized once at
+/// executor construction.
 struct Permits {
     available: Mutex<usize>,
     signal: Condvar,

@@ -24,9 +24,6 @@
 //! * [`obs`] — structured observability: counters, gauges, fixed-bucket
 //!   histograms and span timers behind a zero-overhead-when-disabled
 //!   [`Metrics`] handle, snapshot-exportable as JSON or Prometheus text.
-//! * [`perf`] — the micro-benchmark harness behind `repro bench`:
-//!   warmup/measure kernel timing, `BENCH_<date>.json` reports, and the
-//!   calibration-normalized regression gate.
 //! * [`table`] — markdown / CSV / JSON emission of result tables.
 //! * [`plot`] — terminal sparklines and block charts of time series.
 //!
@@ -54,7 +51,6 @@ pub mod cache;
 pub mod exec;
 pub mod invariant;
 pub mod obs;
-pub mod perf;
 pub mod plot;
 pub mod rng;
 pub mod sim;

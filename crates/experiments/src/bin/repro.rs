@@ -52,18 +52,6 @@
 //! invariant to prove violations surface.
 //!
 //! ```text
-//! repro bench [--out FILE] [--baseline FILE] [--max-regression PCT]
-//!             [--warmup N] [--iters N]
-//! ```
-//!
-//! times the simulation kernels (see `agentnet_experiments::benchkit`)
-//! and writes a `BENCH_<date>.json` report (override with `--out`).
-//! With `--baseline`, compares calibration-normalized timings against
-//! the baseline report and exits non-zero if any kernel regressed by
-//! more than `--max-regression` percent (default 25) — the CI perf
-//! gate.
-//!
-//! ```text
 //! repro lint [--baseline] [--root DIR] [--rules] [--format text|json]
 //! ```
 //!
@@ -102,14 +90,13 @@
 
 use agentnet_core::routing::ProtocolKind;
 use agentnet_engine::obs::{Metrics, DURATION_MICROS_BUCKETS};
-use agentnet_engine::perf::{BenchOptions, BenchReport};
 use agentnet_engine::table::Table;
 use agentnet_engine::{Executor, ResultCache, RunEvent};
 use agentnet_experiments::obs::{
     percent_or_dash, rate_or_dash, CacheStats, ExperimentCellStats, RunManifest, TraceSink,
     MANIFEST_SCHEMA,
 };
-use agentnet_experiments::{benchkit, registry, Ctx, Mode};
+use agentnet_experiments::{registry, Ctx, Mode};
 use agentnet_validate::{run_battery, ValidateConfig};
 use crossbeam::channel;
 use std::collections::BTreeMap;
@@ -124,8 +111,6 @@ fn usage() -> ! {
          \x20            [--out DIR] [--metrics-out FILE] [--metrics-prom FILE]\n\
          \x20            [--trace-out FILE] [--trace] [--check] [--list] [EXPERIMENT_ID ...]\n\
          \x20      repro validate [--seed N] [--inject-failure] [--protocol ARM]\n\
-         \x20      repro bench [--out FILE] [--baseline FILE] [--max-regression PCT]\n\
-         \x20            [--warmup N] [--iters N] [--filter SUBSTRING]...\n\
          \x20      repro lint [--baseline] [--root DIR] [--rules] [--format text|json]\n\
          \x20      repro serve [--nodes N] [--protocol ARM] [--population P] [--cache C]\n\
          \x20            [--seed S] [--warmup W] [--steps K] [--step-micros U]\n\
@@ -203,199 +188,6 @@ fn run_validate(args: impl Iterator<Item = String>) -> ExitCode {
         for f in failures {
             println!("- {}: {}", f.name, f.details);
         }
-        ExitCode::FAILURE
-    }
-}
-
-/// The `repro bench` subcommand: times the kernel suite, writes the
-/// `BENCH_<date>.json` report, and (with `--baseline`) gates on
-/// calibration-normalized regressions.
-fn run_bench(args: impl Iterator<Item = String>) -> ExitCode {
-    let mut opts = BenchOptions::default();
-    let mut out_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut max_regression_pct = 25.0f64;
-    let mut filters: Vec<String> = Vec::new();
-    let mut args = args;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => match args.next() {
-                Some(path) => out_path = Some(path),
-                None => usage(),
-            },
-            "--filter" => match args.next() {
-                Some(f) => filters.push(f),
-                None => usage(),
-            },
-            "--baseline" => match args.next() {
-                Some(path) => baseline_path = Some(path),
-                None => usage(),
-            },
-            "--max-regression" => match args.next().and_then(|n| n.parse().ok()) {
-                Some(pct) => max_regression_pct = pct,
-                None => usage(),
-            },
-            "--warmup" => match args.next().and_then(|n| n.parse().ok()) {
-                Some(n) => opts.warmup = n,
-                None => usage(),
-            },
-            "--iters" => match args.next().and_then(|n| n.parse::<u32>().ok()) {
-                Some(n) if n > 0 => opts.iters = n,
-                _ => usage(),
-            },
-            _ => usage(),
-        }
-    }
-
-    // Stamps the report filename/date only; kernel timings are
-    // calibration-normalized in perf.
-    // agentlint::allow(no-ambient-entropy)
-    let unix_seconds = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    eprintln!(
-        "repro bench: {} warmup + {} measured iterations per kernel",
-        opts.warmup, opts.iters
-    );
-    // Load the baseline up front so the retry (below) can happen before
-    // the report file is written.
-    let baseline: Option<BenchReport> = match &baseline_path {
-        None => None,
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => match serde_json::from_str(&text) {
-                Ok(b) => Some(b),
-                Err(e) => {
-                    eprintln!("failed to parse baseline {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    // A baseline without a usable calibration kernel would make
-    // `normalized()` return `None` for every kernel and the gate pass
-    // vacuously — refuse instead of silently comparing nothing.
-    if let (Some(b), Some(path)) = (&baseline, &baseline_path) {
-        if let Some(err) = b.calibration_error() {
-            eprintln!("repro bench: baseline {path} is unusable: {err}");
-            eprintln!(
-                "repro bench: without a valid calibration kernel no timing can be \
-                 normalized and the regression gate passes vacuously; refusing to run"
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-
-    // Kernel selection: with no --filter everything runs; otherwise a
-    // kernel runs when any filter substring matches its name. The
-    // calibration kernel always runs so the report stays normalizable.
-    //
-    // Every filter must match at least one kernel of the suite: a
-    // filter matching nothing (a typo, or a kernel renamed since the CI
-    // smoke was written) would silently time an empty set and the gate
-    // would pass vacuously — the same blind spot as the PR 5
-    // calibration-less baselines, so it hard-errors the same way.
-    let names = benchkit::kernel_names();
-    for f in &filters {
-        if !names.iter().any(|n| n.contains(f.as_str())) {
-            eprintln!("repro bench: --filter {f} matches no kernel");
-            eprintln!("repro bench: known kernels: {}", names.join(", "));
-            return ExitCode::FAILURE;
-        }
-    }
-    let keep = |name: &str| filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str()));
-
-    // agentlint::allow(no-ambient-entropy) — stderr progress timing only.
-    let started = Instant::now();
-    let mut report = benchkit::run_kernels_matching(opts, unix_seconds, &keep);
-    eprintln!("timed {} kernels in {:.1}s", report.kernels.len(), started.elapsed().as_secs_f64());
-    if let Some(err) = report.calibration_error() {
-        eprintln!("repro bench: this run's report is unusable: {err}");
-        return ExitCode::FAILURE;
-    }
-
-    // An apparent regression on a loaded machine is usually noise: it
-    // must survive a full re-measurement (per-kernel best of both runs)
-    // before it fails the gate.
-    if let Some(baseline) = &baseline {
-        if !report.regressions(baseline, max_regression_pct).is_empty() {
-            eprintln!("apparent regression; re-measuring to confirm");
-            let second = benchkit::run_kernels_matching(opts, unix_seconds, &keep);
-            for k in &mut report.kernels {
-                if let Some(s) = second.kernel(&k.kernel) {
-                    k.ns_per_iter = k.ns_per_iter.min(s.ns_per_iter);
-                    k.mean_ns = k.mean_ns.min(s.mean_ns);
-                    k.min_ns = k.min_ns.min(s.min_ns);
-                }
-            }
-        }
-    }
-
-    println!("# agentnet bench — {}\n", report.date);
-    let mut table = Table::new(["kernel", "ns/iter (median)", "min ns", "normalized"]);
-    for k in &report.kernels {
-        table.push_row([
-            k.kernel.clone(),
-            format!("{:.0}", k.ns_per_iter),
-            format!("{:.0}", k.min_ns),
-            match report.normalized(&k.kernel) {
-                Some(n) => format!("{n:.3}"),
-                None => "-".to_string(),
-            },
-        ]);
-    }
-    println!("{}", table.to_markdown());
-
-    let out_path = out_path.unwrap_or_else(|| format!("BENCH_{}.json", report.date));
-    let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
-    if let Err(e) = std::fs::write(&out_path, json + "\n") {
-        eprintln!("failed to write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out_path}");
-
-    let (Some(baseline), Some(baseline_path)) = (baseline, baseline_path) else {
-        return ExitCode::SUCCESS;
-    };
-    let regressions = report.regressions(&baseline, max_regression_pct);
-    if regressions.is_empty() {
-        println!(
-            "no kernel regressed more than {max_regression_pct}% vs baseline {baseline_path} \
-             (dated {})",
-            baseline.date
-        );
-    } else {
-        println!("{} kernel(s) regressed more than {max_regression_pct}%:", regressions.len());
-        for r in &regressions {
-            println!(
-                "- {}: normalized {:.3} -> {:.3} ({:.0}% slower)",
-                r.kernel,
-                r.baseline,
-                r.current,
-                (r.ratio - 1.0) * 100.0
-            );
-        }
-    }
-    // A kernel added since the baseline was taken has nothing to gate
-    // against; surface it instead of letting the suite grow ungated.
-    let ungated = report.ungated_kernels(&baseline);
-    if !ungated.is_empty() {
-        println!(
-            "{} kernel(s) missing from baseline {baseline_path} (timed but NOT gated):",
-            ungated.len()
-        );
-        for k in &ungated {
-            println!("- {k}");
-        }
-        println!("refresh the baseline (repro bench --out {baseline_path}) to cover them");
-    }
-    if regressions.is_empty() && ungated.is_empty() {
-        ExitCode::SUCCESS
-    } else {
         ExitCode::FAILURE
     }
 }
@@ -815,10 +607,6 @@ fn main() -> ExitCode {
     if args.peek().map(String::as_str) == Some("validate") {
         args.next();
         return run_validate(args);
-    }
-    if args.peek().map(String::as_str) == Some("bench") {
-        args.next();
-        return run_bench(args);
     }
     if args.peek().map(String::as_str) == Some("lint") {
         args.next();

@@ -7,8 +7,6 @@
 //! counts are not expected to match the paper (different simulator,
 //! different RNG, stronger baselines); directions and orderings are.
 //!
-//! * [`benchkit`] — the `repro bench` kernel suite behind the
-//!   `BENCH_<date>.json` perf-regression gate.
 //! * [`mapping_figs`] — Figs. 1–6 (network mapping, §II).
 //! * [`routing_figs`] — Figs. 7–11 (dynamic routing, §III).
 //! * [`extensions`] — E12 stigmergic routing (the paper's future work),
@@ -54,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod benchkit;
 pub mod comparisons;
 pub mod extensions;
 pub mod mapping_figs;

@@ -2,29 +2,24 @@
 //! `engine::rng` seeds so every run is replayable.
 //!
 //! Scope: the whole workspace except the sanctioned timing modules
-//! (`engine::perf`, `engine::obs` and the experiments bench kit), which
-//! exist precisely to own wall-clock measurement — bench timing and
-//! span-timer durations flow out of the simulation only, never into
-//! report bytes. Flags `thread_rng`, `SystemTime::now`,
-//! `Instant::now`, and `rand::random` (argless or turbofish) outside
-//! them. CLI-status and diagnostic timing that provably cannot affect
-//! report bytes carries `agentlint::allow` with a justification instead.
+//! (`engine::obs` and `serve::clock`), which exist precisely to own
+//! wall-clock measurement — span-timer durations and query latencies
+//! flow out of the simulation only, never into report bytes. Flags
+//! `thread_rng`, `SystemTime::now`, `Instant::now`, and `rand::random`
+//! (argless or turbofish) outside them. CLI-status and diagnostic
+//! timing that provably cannot affect report bytes carries
+//! `agentlint::allow` with a justification instead.
 
 use crate::context::FileContext;
 use crate::rules::{ident_at, path_sep_at, Finding, Rule};
 
 pub struct AmbientEntropy;
 
-/// Files allowed to read the wall clock: the calibration-normalized
-/// bench layer, the span timers of the metrics registry, and the serve
-/// daemon's clock module (query latency / snapshot staleness flow out
-/// of the daemon only — replies are pure functions of the snapshot).
-const TIMING_FILES: &[&str] = &[
-    "crates/engine/src/perf.rs",
-    "crates/engine/src/obs.rs",
-    "crates/experiments/src/benchkit.rs",
-    "crates/serve/src/clock.rs",
-];
+/// Files allowed to read the wall clock: the span timers of the metrics
+/// registry and the serve daemon's clock module (query latency /
+/// snapshot staleness flow out of the daemon only — replies are pure
+/// functions of the snapshot).
+const TIMING_FILES: &[&str] = &["crates/engine/src/obs.rs", "crates/serve/src/clock.rs"];
 
 impl Rule for AmbientEntropy {
     fn name(&self) -> &'static str {
@@ -32,7 +27,7 @@ impl Rule for AmbientEntropy {
     }
 
     fn description(&self) -> &'static str {
-        "thread_rng / SystemTime::now / Instant::now / rand::random outside engine::{perf,obs} and benchkit"
+        "thread_rng / SystemTime::now / Instant::now / rand::random outside engine::obs and serve::clock"
     }
 
     fn check(&self, ctx: &FileContext, findings: &mut Vec<Finding>) {
@@ -70,7 +65,7 @@ impl Rule for AmbientEntropy {
                     line: toks[i].line,
                     rule: self.name(),
                     message: format!(
-                        "{what}; route randomness/time through engine::rng::SeedSequence (timing belongs in engine::perf)"
+                        "{what}; route randomness/time through engine::rng::SeedSequence (timing belongs in engine::obs)"
                     ),
                 });
             }
@@ -107,9 +102,7 @@ mod tests {
     #[test]
     fn timing_modules_are_exempt() {
         let src = "fn t() { let s = std::time::Instant::now(); let _ = s; }\n";
-        assert!(run("crates/engine/src/perf.rs", src).is_empty());
         assert!(run("crates/engine/src/obs.rs", src).is_empty());
-        assert!(run("crates/experiments/src/benchkit.rs", src).is_empty());
         assert!(run("crates/serve/src/clock.rs", src).is_empty());
         assert!(!run("crates/engine/src/exec.rs", src).is_empty());
         assert!(!run("crates/serve/src/server.rs", src).is_empty());

@@ -51,7 +51,7 @@ fn ambient_entropy_fixture() {
         lint_source(rel, src)
     );
     // The sanctioned timing modules are exempt.
-    assert!(lint_source("crates/engine/src/perf.rs", src).is_empty());
+    assert!(lint_source("crates/engine/src/obs.rs", src).is_empty());
 }
 
 #[test]
@@ -168,7 +168,7 @@ fn output_format_is_file_line_rule_message() {
         out[0],
         "crates/core/src/fixture.rs:3 no-ambient-entropy `thread_rng` is unseeded; \
          route randomness/time through engine::rng::SeedSequence \
-         (timing belongs in engine::perf)"
+         (timing belongs in engine::obs)"
     );
     let mut sorted = out.clone();
     sorted.sort();
