@@ -38,9 +38,8 @@
 //! reach the sender).
 
 use agentnet_core::overhead::Overhead;
-use agentnet_core::routing::{ProtocolKind, RouteEntry, RouteIndex, RoutingProtocol, RoutingTable};
+use agentnet_core::routing::{ProtocolKind, RouteBook, RouteEntry, RoutingProtocol};
 use agentnet_engine::sim::{Step, TimeStepSim};
-use agentnet_engine::TimeSeries;
 use agentnet_graph::NodeId;
 use agentnet_radio::WirelessNetwork;
 use rand::rngs::SmallRng;
@@ -159,9 +158,7 @@ fn better(cand: Seen, cur: Option<Seen>) -> bool {
 pub struct FloodSim {
     net: WirelessNetwork,
     config: FloodConfig,
-    tables: Vec<RoutingTable>,
-    is_gateway: Vec<bool>,
-    live_gateways: Vec<NodeId>,
+    routes: RouteBook,
     /// `seen[node][gw_index]`: the latest announcement of gateway
     /// `gw_index` this node holds.
     seen: Vec<Vec<Option<Seen>>>,
@@ -171,9 +168,7 @@ pub struct FloodSim {
     /// has already re-broadcast (epidemic's flood-once bound).
     advertised: Vec<Vec<u64>>,
     rng: SmallRng,
-    connectivity: TimeSeries,
     overhead: Overhead,
-    route_index: RouteIndex,
     /// Spray-target scratch, reused across steps.
     pool: Vec<NodeId>,
 }
@@ -196,26 +191,15 @@ impl FloodSim {
             return Err(FloodError::new("flooding needs at least one gateway"));
         }
         let g = net.gateways().len();
-        let mut is_gateway = vec![false; n];
-        for &gw in net.gateways() {
-            if let Some(flag) = is_gateway.get_mut(gw.index()) {
-                *flag = true;
-            }
-        }
-        let live_gateways = net.gateways().to_vec();
         Ok(FloodSim {
+            routes: RouteBook::new(&net),
             net,
             config,
-            tables: vec![RoutingTable::new(); n],
-            is_gateway,
-            live_gateways,
             seen: vec![vec![None; g]; n],
             next: vec![vec![None; g]; n],
             advertised: vec![vec![0; g]; n],
             rng: SmallRng::seed_from_u64(seed),
-            connectivity: TimeSeries::new(),
             overhead: Overhead::default(),
-            route_index: RouteIndex::new(n),
             pool: Vec::new(),
         })
     }
@@ -249,20 +233,8 @@ impl FloodSim {
     /// pre-round snapshot, adoptions land in the double buffer.
     #[agentnet::hot_path]
     fn broadcast_round(&mut self, now: Step) {
-        let FloodSim {
-            net,
-            config,
-            tables,
-            is_gateway,
-            seen,
-            next,
-            advertised,
-            rng,
-            overhead,
-            route_index,
-            pool,
-            ..
-        } = self;
+        let FloodSim { net, config, routes, seen, next, advertised, rng, overhead, pool, .. } =
+            self;
         let links = net.links();
         let gateways = net.gateways();
         for (next_row, row) in next.iter_mut().zip(seen.iter()) {
@@ -297,7 +269,7 @@ impl FloodSim {
                             if !links.has_edge(w, from) {
                                 continue;
                             }
-                            if is_gateway.get(w.index()).copied().unwrap_or(false) {
+                            if routes.is_gateway(w) {
                                 continue;
                             }
                             let cand =
@@ -308,11 +280,8 @@ impl FloodSim {
                             };
                             if better(cand, *slot) {
                                 *slot = Some(cand);
-                                if let Some(table) = tables.get_mut(w.index()) {
-                                    table.install(RouteEntry::new(gw, from, cand.hops, now));
-                                    overhead.table_writes += 1;
-                                    route_index.mark_dirty(w);
-                                }
+                                routes.install(w, RouteEntry::new(gw, from, cand.hops, now));
+                                overhead.table_writes += 1;
                             }
                         }
                         if sent {
@@ -332,7 +301,7 @@ impl FloodSim {
                             if !links.has_edge(w, from) {
                                 continue;
                             }
-                            if is_gateway.get(w.index()).copied().unwrap_or(false) {
+                            if routes.is_gateway(w) {
                                 continue;
                             }
                             let fresh = seen
@@ -394,11 +363,8 @@ impl FloodSim {
                                 };
                                 *slot = Some(Seen { copies: merged, ..cand });
                                 adopted = true;
-                                if let Some(table) = tables.get_mut(w.index()) {
-                                    table.install(RouteEntry::new(gw, from, cand.hops, now));
-                                    overhead.table_writes += 1;
-                                    route_index.mark_dirty(w);
-                                }
+                                routes.install(w, RouteEntry::new(gw, from, cand.hops, now));
+                                overhead.table_writes += 1;
                             }
                         }
                         // Copy conservation: the giver's budget drops
@@ -420,33 +386,16 @@ impl FloodSim {
         }
         std::mem::swap(seen, next);
     }
-
-    /// Evicts route entries older than `max_age`.
-    #[agentnet::hot_path]
-    fn decay(&mut self, now: Step) {
-        for (v, table) in self.tables.iter_mut().enumerate() {
-            if table.evict_older_than(now, self.config.max_age) > 0 {
-                self.route_index.mark_dirty(NodeId::new(v));
-            }
-        }
-    }
 }
 
 impl TimeStepSim for FloodSim {
     fn step(&mut self, now: Step) {
         // The world changes first: nodes move, batteries decay.
         self.net.advance();
-        self.decay(now);
+        self.routes.evict_older_than(now, self.config.max_age);
         self.seed_announcements(now);
         self.broadcast_round(now);
-        self.route_index.refresh(
-            &self.tables,
-            self.net.links(),
-            &self.is_gateway,
-            self.net.topology_version(),
-        );
-        let c = self.route_index.connected_fraction(&self.live_gateways);
-        self.connectivity.record(c);
+        self.routes.revalidate(&self.net);
     }
 }
 
@@ -462,16 +411,8 @@ impl RoutingProtocol for FloodSim {
         &self.net
     }
 
-    fn tables(&self) -> &[RoutingTable] {
-        &self.tables
-    }
-
-    fn live_gateways(&self) -> &[NodeId] {
-        &self.live_gateways
-    }
-
-    fn connectivity_series(&self) -> &TimeSeries {
-        &self.connectivity
+    fn routes(&self) -> &RouteBook {
+        &self.routes
     }
 
     fn overhead(&self) -> Overhead {
@@ -587,7 +528,7 @@ mod tests {
         let run = |seed: u64| {
             let mut s = FloodSim::new(net(2), FloodConfig::epidemic(), seed).unwrap();
             let out = RoutingProtocol::run(&mut s, 40);
-            (out, s.tables.clone(), s.overhead)
+            (out, s.routes.tables().to_vec(), s.overhead)
         };
         // Epidemic ignores the seed entirely: same mobility, same run.
         assert_eq!(run(1), run(2));
@@ -598,7 +539,7 @@ mod tests {
         let run = |seed: u64| {
             let mut s = FloodSim::new(net(2), FloodConfig::spray_and_wait(8), seed).unwrap();
             let out = RoutingProtocol::run(&mut s, 40);
-            (out, s.tables.clone(), s.overhead)
+            (out, s.routes.tables().to_vec(), s.overhead)
         };
         assert_eq!(run(42), run(42));
     }
@@ -607,7 +548,7 @@ mod tests {
     fn recorded_connectivity_matches_from_scratch_reference() {
         let mut s = FloodSim::new(net(11), FloodConfig::epidemic(), 3).unwrap();
         let _ = RoutingProtocol::run(&mut s, 50);
-        let last = s.connectivity.values().last().copied().unwrap();
+        let last = s.routes.connectivity_series().values().last().copied().unwrap();
         assert_eq!(last, RoutingProtocol::connectivity(&s));
     }
 }

@@ -24,11 +24,10 @@
 
 use crate::error::CoreError;
 use crate::overhead::Overhead;
-use crate::routing::index::RouteIndex;
+use crate::routing::index::RouteBook;
 use crate::routing::protocol::{ProtocolKind, RoutingProtocol};
-use crate::routing::table::{RouteEntry, RoutingTable};
+use crate::routing::table::RouteEntry;
 use agentnet_engine::sim::{Step, TimeStepSim};
-use agentnet_engine::TimeSeries;
 use agentnet_graph::NodeId;
 use agentnet_radio::WirelessNetwork;
 use rand::rngs::SmallRng;
@@ -119,13 +118,9 @@ pub struct AntNetSim {
     config: AntNetConfig,
     ants: Vec<Ant>,
     pheromone: Vec<PheromoneTable>,
-    tables: Vec<RoutingTable>,
-    is_gateway: Vec<bool>,
-    live_gateways: Vec<NodeId>,
+    routes: RouteBook,
     rng: SmallRng,
-    connectivity: TimeSeries,
     overhead: Overhead,
-    route_index: RouteIndex,
     // Per-step scratch, reused to keep the kernels allocation-free.
     pool: Vec<NodeId>,
     weights: Vec<f64>,
@@ -168,13 +163,7 @@ impl AntNetSim {
         if net.gateways().is_empty() {
             return Err(CoreError::invalid("antnet needs at least one gateway"));
         }
-        let mut is_gateway = vec![false; n];
-        for &g in net.gateways() {
-            if let Some(flag) = is_gateway.get_mut(g.index()) {
-                *flag = true;
-            }
-        }
-        let live_gateways = net.gateways().to_vec();
+        let routes = RouteBook::new(&net);
         let mut rng = SmallRng::seed_from_u64(seed);
         let ants = (0..config.population)
             .map(|_| Ant { path: vec![NodeId::new(rng.random_range(0..n))] })
@@ -184,13 +173,9 @@ impl AntNetSim {
             config,
             ants,
             pheromone: vec![PheromoneTable::new(); n],
-            tables: vec![RoutingTable::new(); n],
-            is_gateway,
-            live_gateways,
+            routes,
             rng,
-            connectivity: TimeSeries::new(),
             overhead: Overhead::default(),
-            route_index: RouteIndex::new(n),
             pool: Vec::new(),
             weights: Vec::new(),
         })
@@ -290,14 +275,10 @@ impl AntNetSim {
                 *trails.entry((gateway, b)).or_insert(0.0) += amount;
                 self.overhead.footprint_writes += 1;
             }
-            let a_is_gateway = self.is_gateway.get(a.index()).copied().unwrap_or(false);
-            if !a_is_gateway {
-                if let Some(table) = self.tables.get_mut(a.index()) {
-                    let hops = u32::try_from(remaining).unwrap_or(u32::MAX);
-                    table.install(RouteEntry::new(gateway, b, hops, now));
-                    self.overhead.table_writes += 1;
-                    self.route_index.mark_dirty(a);
-                }
+            if !self.routes.is_gateway(a) {
+                let hops = u32::try_from(remaining).unwrap_or(u32::MAX);
+                self.routes.install(a, RouteEntry::new(gateway, b, hops, now));
+                self.overhead.table_writes += 1;
             }
         }
     }
@@ -329,8 +310,7 @@ impl AntNetSim {
             }
             self.overhead.migrations += 1;
             self.overhead.migrated_bytes += path_len as u64 * ANT_NODE_BYTES;
-            let on_gateway = self.is_gateway.get(next.index()).copied().unwrap_or(false);
-            if on_gateway {
+            if self.routes.is_gateway(next) {
                 self.deliver(i, now);
                 self.respawn(i);
             } else if path_len > self.config.ttl {
@@ -346,19 +326,8 @@ impl TimeStepSim for AntNetSim {
         self.net.advance();
         self.evaporate();
         self.move_ants(now);
-        for (v, table) in self.tables.iter_mut().enumerate() {
-            if table.evict_older_than(now, self.config.route_ttl) > 0 {
-                self.route_index.mark_dirty(NodeId::new(v));
-            }
-        }
-        self.route_index.refresh(
-            &self.tables,
-            self.net.links(),
-            &self.is_gateway,
-            self.net.topology_version(),
-        );
-        let c = self.route_index.connected_fraction(&self.live_gateways);
-        self.connectivity.record(c);
+        self.routes.evict_older_than(now, self.config.route_ttl);
+        self.routes.revalidate(&self.net);
     }
 }
 
@@ -371,16 +340,8 @@ impl RoutingProtocol for AntNetSim {
         &self.net
     }
 
-    fn tables(&self) -> &[RoutingTable] {
-        &self.tables
-    }
-
-    fn live_gateways(&self) -> &[NodeId] {
-        &self.live_gateways
-    }
-
-    fn connectivity_series(&self) -> &TimeSeries {
-        &self.connectivity
+    fn routes(&self) -> &RouteBook {
+        &self.routes
     }
 
     fn overhead(&self) -> Overhead {
@@ -468,7 +429,7 @@ mod tests {
         let run = |seed: u64| {
             let mut s = AntNetSim::new(net(2), AntNetConfig::new(10), seed).unwrap();
             let out = RoutingProtocol::run(&mut s, 50);
-            (out, s.tables.clone(), s.pheromone.clone(), s.overhead)
+            (out, s.routes.tables().to_vec(), s.pheromone.clone(), s.overhead)
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42).0, run(43).0);
@@ -478,7 +439,7 @@ mod tests {
     fn recorded_connectivity_matches_from_scratch_reference() {
         let mut s = sim(11);
         let _ = RoutingProtocol::run(&mut s, 60);
-        let last = s.connectivity.values().last().copied().unwrap();
+        let last = s.routes.connectivity_series().values().last().copied().unwrap();
         assert_eq!(last, RoutingProtocol::connectivity(&s));
     }
 }

@@ -1,35 +1,163 @@
-//! Persistent route-revalidation index.
+//! The route book every routing arm keeps, and the persistent index
+//! that revalidates it.
 //!
-//! [`super::sim::RoutingSim`] must re-validate every node's next-hop
-//! chain each step. The reference implementation
-//! ([`super::sim::RoutingSim::connectivity`]) rebuilds the whole
-//! forwarding graph from the routing tables every step; this index keeps
-//! that graph *persistent* and applies deltas instead:
+//! A [`RouteBook`] owns what the paper's agents produce — one
+//! [`RoutingTable`] per node — together with what the arms score it
+//! by: the gateway flags, the live gateways, per-node chain
+//! reachability and the per-step connectivity series. Every table
+//! write goes through [`RouteBook::install`] or
+//! [`RouteBook::evict_older_than`], which mark the written node dirty,
+//! so [`RouteBook::revalidate`] updates the forwarding graph from
+//! deltas instead of rebuilding it each step:
 //!
-//! * a table write dirties only the written node ([`RouteIndex::mark_dirty`]);
+//! * a table write dirties only the written node;
 //! * a link-topology change (detected through
-//!   [`agentnet_radio::WirelessNetwork::topology_version`]) forces a full
-//!   resync, since any entry's liveness may have flipped;
+//!   [`WirelessNetwork::topology_version`]) forces a full resync, since
+//!   any entry's liveness may have flipped;
 //! * the connectivity metric is a reverse BFS from the live gateways over
 //!   the persistent graph's in-edges, using reusable scratch.
 //!
 //! On a quiescent network (nothing moved, no tables written) a step's
 //! revalidation is O(live gateways + reachable set) with zero heap
-//! allocation in steady state.
+//! allocation in steady state. The from-scratch reference it must
+//! agree with is
+//! [`RoutingProtocol::reached_from_scratch`](super::RoutingProtocol::reached_from_scratch).
 
 #![cfg_attr(not(test), warn(clippy::indexing_slicing))]
 
-use crate::routing::table::RoutingTable;
+use crate::routing::table::{RouteEntry, RoutingTable};
+use agentnet_engine::{Step, TimeSeries};
 use agentnet_graph::{DiGraph, NodeId};
+use agentnet_radio::WirelessNetwork;
+
+/// Every node's routing table plus the gateway set, the persistent
+/// forwarding index and the connectivity series derived from them: the
+/// per-node state all routing arms share. See the [module docs](self).
+#[derive(Clone, Debug)]
+pub struct RouteBook {
+    tables: Vec<RoutingTable>,
+    /// Per-node gateway flag, cleared by [`RouteBook::fail_gateway`].
+    is_gateway: Vec<bool>,
+    /// Gateways whose uplink is still live: the reachability seeds.
+    live_gateways: Vec<NodeId>,
+    index: RouteIndex,
+    connectivity: TimeSeries,
+}
+
+impl RouteBook {
+    /// Empty tables for every node of `net`, with all its gateways
+    /// live. Reachability is computed once without being recorded, so
+    /// [`reached`](Self::reached) flags exactly the gateways before the
+    /// first step.
+    pub fn new(net: &WirelessNetwork) -> Self {
+        let n = net.node_count();
+        let mut is_gateway = vec![false; n];
+        for g in net.gateways() {
+            if let Some(flag) = is_gateway.get_mut(g.index()) {
+                *flag = true;
+            }
+        }
+        let mut book = RouteBook {
+            tables: vec![RoutingTable::new(); n],
+            is_gateway,
+            live_gateways: net.gateways().to_vec(),
+            index: RouteIndex::new(n),
+            connectivity: TimeSeries::new(),
+        };
+        book.sync(net);
+        book
+    }
+
+    /// Every node's routing table, indexed by node id.
+    pub fn tables(&self) -> &[RoutingTable] {
+        &self.tables
+    }
+
+    /// Whether `node` is a gateway whose uplink is live (`false` when
+    /// out of range).
+    pub fn is_gateway(&self, node: NodeId) -> bool {
+        self.is_gateway.get(node.index()).copied().unwrap_or(false)
+    }
+
+    /// Gateways whose uplink is still live.
+    pub fn live_gateways(&self) -> &[NodeId] {
+        &self.live_gateways
+    }
+
+    /// Per-node flags of the last revalidation: `true` for every node
+    /// whose next-hop chain reached a live gateway (gateways included).
+    pub fn reached(&self) -> &[bool] {
+        self.index.reached()
+    }
+
+    /// The connected fraction each [`revalidate`](Self::revalidate)
+    /// recorded.
+    pub fn connectivity_series(&self) -> &TimeSeries {
+        &self.connectivity
+    }
+
+    /// Installs `entry` in `node`'s table, replacing any entry for the
+    /// same gateway.
+    #[agentnet::hot_path]
+    pub fn install(&mut self, node: NodeId, entry: RouteEntry) {
+        if let Some(table) = self.tables.get_mut(node.index()) {
+            table.install(entry);
+            self.index.mark_dirty(node);
+        }
+    }
+
+    /// Evicts every entry older than `max_age` steps at `now`.
+    #[agentnet::hot_path]
+    pub fn evict_older_than(&mut self, now: Step, max_age: u64) {
+        for (v, table) in self.tables.iter_mut().enumerate() {
+            if table.evict_older_than(now, max_age) > 0 {
+                self.index.mark_dirty(NodeId::new(v));
+            }
+        }
+    }
+
+    /// Fails a gateway's uplink: the node stays in the network but no
+    /// longer counts as an exit, so chains ending on it stop counting
+    /// from the next revalidation. Returns `false` if `id` was not a
+    /// live gateway.
+    pub fn fail_gateway(&mut self, id: NodeId) -> bool {
+        let Some(pos) = self.live_gateways.iter().position(|&g| g == id) else {
+            return false;
+        };
+        self.live_gateways.remove(pos);
+        if let Some(flag) = self.is_gateway.get_mut(id.index()) {
+            *flag = false;
+        }
+        // Its forwarding row changes shape (non-gateways export their
+        // table entries); the next refresh must rewrite it.
+        self.index.mark_dirty(id);
+        true
+    }
+
+    /// Revalidates every chain against `net`'s current links and
+    /// records the connected fraction: the last act of every arm's
+    /// step.
+    #[agentnet::hot_path]
+    pub fn revalidate(&mut self, net: &WirelessNetwork) {
+        let c = self.sync(net);
+        self.connectivity.record(c);
+    }
+
+    /// Brings the index in sync with the tables and `net`'s links and
+    /// returns the connected fraction.
+    fn sync(&mut self, net: &WirelessNetwork) -> f64 {
+        self.index.refresh(&self.tables, net.links(), &self.is_gateway, net.topology_version());
+        self.index.connected_fraction(&self.live_gateways)
+    }
+}
 
 /// Incrementally-maintained forwarding graph plus reverse-BFS scratch.
 ///
 /// The index is only a cache: [`RouteIndex::refresh`] must be called with
 /// the current tables/links before [`RouteIndex::connected_fraction`] is
-/// meaningful, and its result is always bit-identical to the from-scratch
-/// [`super::sim::RoutingSim::connectivity`] reference.
+/// meaningful.
 #[derive(Clone, Debug)]
-pub struct RouteIndex {
+struct RouteIndex {
     /// `v -> next_hop` for every table entry of a non-gateway `v` whose
     /// link is currently live.
     forwarding: DiGraph,
@@ -50,7 +178,7 @@ pub struct RouteIndex {
 
 impl RouteIndex {
     /// Creates an index for `n` nodes, initially unsynced.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         RouteIndex {
             forwarding: DiGraph::new(n),
             dirty: vec![false; n],
@@ -62,15 +190,10 @@ impl RouteIndex {
         }
     }
 
-    /// The current forwarding graph (for tests and diagnostics).
-    pub fn forwarding(&self) -> &DiGraph {
-        &self.forwarding
-    }
-
     /// Marks `node`'s forwarding row stale — call after any routing-table
     /// write to it or after its gateway status changes.
     #[agentnet::hot_path]
-    pub fn mark_dirty(&mut self, node: NodeId) {
+    fn mark_dirty(&mut self, node: NodeId) {
         let i = node.index();
         if let Some(flag) = self.dirty.get_mut(i) {
             if !*flag {
@@ -86,7 +209,7 @@ impl RouteIndex {
     /// graph is rebuilt (any link may have flipped); otherwise only the
     /// rows of nodes marked dirty since the last refresh are rewritten.
     #[agentnet::hot_path]
-    pub fn refresh(
+    fn refresh(
         &mut self,
         tables: &[RoutingTable],
         links: &DiGraph,
@@ -154,7 +277,7 @@ impl RouteIndex {
     /// (gateways count as connected) — reverse BFS from the gateways over
     /// the persistent forwarding graph, allocation-free in steady state.
     #[agentnet::hot_path]
-    pub fn connected_fraction(&mut self, live_gateways: &[NodeId]) -> f64 {
+    fn connected_fraction(&mut self, live_gateways: &[NodeId]) -> f64 {
         let n = self.forwarding.node_count();
         if n == 0 {
             return 0.0;
@@ -196,12 +319,9 @@ impl RouteIndex {
     }
 
     /// Per-node reachability flags as computed by the *last*
-    /// [`connected_fraction`](Self::connected_fraction) call: `true` for
-    /// every node whose next-hop chain reached one of the live gateways
-    /// passed to that call (gateways themselves included). All-`false`
-    /// before the first call. Serving front ends read this to answer
-    /// per-node reachability queries without a second BFS.
-    pub fn reached(&self) -> &[bool] {
+    /// [`connected_fraction`](Self::connected_fraction) call (all
+    /// `false` before the first).
+    fn reached(&self) -> &[bool] {
         &self.reached
     }
 }
@@ -209,8 +329,6 @@ impl RouteIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::table::RouteEntry;
-    use agentnet_engine::Step;
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)

@@ -10,8 +10,9 @@
 //! * [`sim`] — the simulation itself, with random / oldest-node agents,
 //!   optional direct communication ("visiting") and optional stigmergy
 //!   (the paper's future-work extension).
-//! * [`index`] — the persistent forwarding-graph index that revalidates
-//!   chains from link/table deltas instead of rebuilding per step.
+//! * [`index`] — the [`RouteBook`] every arm keeps its tables in, with
+//!   the persistent forwarding-graph index that revalidates chains from
+//!   link/table deltas instead of rebuilding per step.
 //! * [`traffic`] — packet-level evaluation: inject packets and forward
 //!   them along the agent-maintained tables, measuring delivery ratio,
 //!   latency and hop stretch.
@@ -32,8 +33,8 @@ pub mod table;
 pub mod traffic;
 
 pub use antnet::{AntNetConfig, AntNetSim};
-pub use index::RouteIndex;
-pub use protocol::{chain_connectivity, ProtocolKind, RoutingProtocol};
+pub use index::RouteBook;
+pub use protocol::{ProtocolKind, RoutingProtocol};
 pub use sim::{RoutingConfig, RoutingOutcome, RoutingSim};
 pub use stigroute::{StigRouteConfig, StigRouteSim};
 pub use table::{RouteEntry, RoutingTable};

@@ -27,7 +27,8 @@
 
 use crate::error::CoreError;
 use crate::overhead::Overhead;
-use crate::routing::sim::{RoutingOutcome, RoutingSim};
+use crate::routing::index::RouteBook;
+use crate::routing::sim::RoutingOutcome;
 use crate::routing::table::RoutingTable;
 use agentnet_engine::sim::{run_until, Step, TimeStepSim};
 use agentnet_engine::TimeSeries;
@@ -41,8 +42,8 @@ use std::str::FromStr;
 /// The routing arms of the protocol zoo.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum ProtocolKind {
-    /// The paper's mobile-agent routing ([`RoutingSim`]): agents carry
-    /// hop-counted gateway claims and install them as they walk.
+    /// The paper's mobile-agent routing ([`super::RoutingSim`]): agents
+    /// carry hop-counted gateway claims and install them as they walk.
     Agents,
     /// Footprint-gradient routing ([`super::StigRouteSim`]): wandering
     /// agents disperse via [`crate::stigmergy::FootprintBoard`]s and lay
@@ -141,26 +142,70 @@ pub trait RoutingProtocol: TimeStepSim + Send {
     /// The wireless substrate the arm routes over.
     fn network(&self) -> &WirelessNetwork;
 
-    /// Every node's routing table, indexed by node id.
-    fn tables(&self) -> &[RoutingTable];
-
-    /// The gateways packets may exit through (arms without failure
-    /// injection report all gateways).
-    fn live_gateways(&self) -> &[NodeId];
-
-    /// Per-step connectivity recorded by the arm's step loop.
-    fn connectivity_series(&self) -> &TimeSeries;
+    /// The arm's route book: every node's table, the live gateways,
+    /// the reachability of the last step and the connectivity series.
+    fn routes(&self) -> &RouteBook;
 
     /// Migration / message / footprint / table-write accounting — the
     /// shared overhead currency all arms are compared in.
     fn overhead(&self) -> Overhead;
 
+    /// Every node's routing table, indexed by node id.
+    fn tables(&self) -> &[RoutingTable] {
+        self.routes().tables()
+    }
+
+    /// The gateways packets may exit through (arms without failure
+    /// injection report all gateways).
+    fn live_gateways(&self) -> &[NodeId] {
+        self.routes().live_gateways()
+    }
+
+    /// Per-step connectivity recorded by the arm's step loop.
+    fn connectivity_series(&self) -> &TimeSeries {
+        self.routes().connectivity_series()
+    }
+
+    /// Per-node chain reachability as of the last step (gateways count
+    /// as reachable), kept incrementally by the route book.
+    fn reached(&self) -> &[bool] {
+        self.routes().reached()
+    }
+
+    /// The *from-scratch reference* for [`reached`](Self::reached):
+    /// rebuilds the forwarding graph from [`tables`](Self::tables)
+    /// (gateway rows skipped, only currently-live links kept) and flags
+    /// every node reaching a live gateway. It shares no code with the
+    /// route book's index, so it stays correct under arbitrary external
+    /// mutation and the two are differentially checked.
+    fn reached_from_scratch(&self) -> Vec<bool> {
+        let net = self.network();
+        let links = net.links();
+        let mut forwarding = DiGraph::new(net.node_count());
+        for (v, table) in self.tables().iter().enumerate() {
+            let from = NodeId::new(v);
+            if self.routes().is_gateway(from) {
+                continue;
+            }
+            for next in table.next_hops() {
+                if links.has_edge(from, next) {
+                    forwarding.add_edge(from, next);
+                }
+            }
+        }
+        reaches_any(&forwarding, self.live_gateways())
+    }
+
     /// Fraction of nodes whose next-hop chains reach a live gateway
-    /// over currently-live links — the *from-scratch reference*
-    /// recomputed from [`tables`](Self::tables), against which the
-    /// incremental per-step series is differentially checked.
+    /// over currently-live links: the mean of
+    /// [`reached_from_scratch`](Self::reached_from_scratch), against
+    /// which the incremental per-step series is differentially checked.
     fn connectivity(&self) -> f64 {
-        chain_connectivity(self.network(), self.tables(), self.live_gateways())
+        let reached = self.reached_from_scratch();
+        if reached.is_empty() {
+            return 0.0;
+        }
+        reached.iter().filter(|&&ok| ok).count() as f64 / reached.len() as f64
     }
 
     /// Runs for exactly `steps` steps, recording connectivity per step.
@@ -240,75 +285,11 @@ pub trait RoutingProtocol: TimeStepSim + Send {
     }
 }
 
-/// The shared from-scratch connectivity reference: build the forwarding
-/// graph from `tables` (gateway rows skipped, only currently-live links
-/// kept) and count the fraction of nodes reaching some live gateway.
-/// Identical semantics to [`RoutingSim::connectivity`].
-pub fn chain_connectivity(
-    net: &WirelessNetwork,
-    tables: &[RoutingTable],
-    live_gateways: &[NodeId],
-) -> f64 {
-    let links = net.links();
-    let n = net.node_count();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut forwarding = DiGraph::new(n);
-    for (v, table) in tables.iter().enumerate() {
-        let from = NodeId::new(v);
-        if net.gateways().contains(&from) {
-            continue;
-        }
-        for next in table.next_hops() {
-            if links.has_edge(from, next) {
-                forwarding.add_edge(from, next);
-            }
-        }
-    }
-    let valid = reaches_any(&forwarding, live_gateways);
-    valid.iter().filter(|&&ok| ok).count() as f64 / n as f64
-}
-
-/// The legacy arm is the zoo's first citizen: [`RoutingSim`] unchanged,
-/// exposed through the trait. Every accessor delegates to the inherent
-/// method, so trait-driven runs are byte-identical to the pre-zoo
-/// figures.
-impl RoutingProtocol for RoutingSim {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Agents
-    }
-
-    fn network(&self) -> &WirelessNetwork {
-        RoutingSim::network(self)
-    }
-
-    fn tables(&self) -> &[RoutingTable] {
-        RoutingSim::tables(self)
-    }
-
-    fn live_gateways(&self) -> &[NodeId] {
-        RoutingSim::live_gateways(self)
-    }
-
-    fn connectivity_series(&self) -> &TimeSeries {
-        RoutingSim::connectivity_series(self)
-    }
-
-    fn overhead(&self) -> Overhead {
-        RoutingSim::overhead(self)
-    }
-
-    fn connectivity(&self) -> f64 {
-        RoutingSim::connectivity(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::RoutingPolicy;
-    use crate::routing::sim::RoutingConfig;
+    use crate::routing::sim::{RoutingConfig, RoutingSim};
     use agentnet_radio::NetworkBuilder;
 
     fn net(seed: u64) -> WirelessNetwork {
@@ -333,14 +314,14 @@ mod tests {
     #[test]
     fn legacy_sim_runs_as_a_trait_object() {
         let config = RoutingConfig::new(RoutingPolicy::OldestNode, 20);
-        let inherent = {
+        let direct = {
             let mut sim = RoutingSim::new(net(3), config.clone(), 7).unwrap();
             sim.run(40)
         };
         let mut boxed: Box<dyn RoutingProtocol> =
             Box::new(RoutingSim::new(net(3), config, 7).unwrap());
         let via_trait = boxed.run(40);
-        assert_eq!(via_trait, inherent, "trait-driven run must be byte-identical");
+        assert_eq!(via_trait, direct, "trait-driven run must be byte-identical");
         assert_eq!(boxed.kind(), ProtocolKind::Agents);
         assert_eq!(boxed.tables().len(), 40);
         assert!(boxed.validate_tables(Step::new(40)).is_ok());
@@ -349,25 +330,11 @@ mod tests {
     }
 
     #[test]
-    fn trait_connectivity_matches_inherent_reference() {
-        let config = RoutingConfig::new(RoutingPolicy::Random, 15);
-        let mut sim = RoutingSim::new(net(5), config, 9).unwrap();
-        let _ = RoutingSim::run(&mut sim, 30);
-        let inherent = RoutingSim::connectivity(&sim);
-        let shared = chain_connectivity(
-            RoutingSim::network(&sim),
-            RoutingSim::tables(&sim),
-            RoutingSim::live_gateways(&sim),
-        );
-        assert_eq!(inherent, shared);
-    }
-
-    #[test]
     fn validate_tables_rejects_a_poisoned_entry() {
         use crate::routing::table::RouteEntry;
         let config = RoutingConfig::new(RoutingPolicy::OldestNode, 10);
         let mut sim = RoutingSim::new(net(11), config, 3).unwrap();
-        let _ = RoutingSim::run(&mut sim, 20);
+        let _ = sim.run(20);
         // Forge a self-forwarding entry through the documented-panic
         // table accessor's mutable counterpart path: poke via tables()
         // is read-only, so rebuild a fake table check instead.
@@ -385,22 +352,19 @@ mod tests {
                 ProtocolKind::Agents
             }
             fn network(&self) -> &WirelessNetwork {
-                RoutingSim::network(&self.inner)
+                self.inner.network()
+            }
+            fn routes(&self) -> &RouteBook {
+                self.inner.routes()
             }
             fn tables(&self) -> &[RoutingTable] {
                 &self.tables
             }
-            fn live_gateways(&self) -> &[NodeId] {
-                RoutingSim::live_gateways(&self.inner)
-            }
-            fn connectivity_series(&self) -> &TimeSeries {
-                RoutingSim::connectivity_series(&self.inner)
-            }
             fn overhead(&self) -> Overhead {
-                RoutingSim::overhead(&self.inner)
+                self.inner.overhead()
             }
         }
-        let gw = RoutingSim::network(&sim).gateways()[0];
+        let gw = sim.network().gateways()[0];
         let mut tables = vec![RoutingTable::new(); 40];
         tables[5].install(RouteEntry {
             gateway: gw,

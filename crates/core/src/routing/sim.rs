@@ -25,15 +25,15 @@ use crate::error::CoreError;
 use crate::history::VisitMemory;
 use crate::overhead::{routing_agent_state_bytes, Overhead};
 use crate::policy::{choose_move, RoutingPolicy, TieBreak};
-use crate::routing::index::RouteIndex;
+use crate::routing::index::RouteBook;
+use crate::routing::protocol::{ProtocolKind, RoutingProtocol};
 use crate::routing::table::{RouteEntry, RoutingTable};
 use crate::stigmergy::FootprintBoard;
 use crate::trace::{TraceEvent, TraceLog};
 use agentnet_engine::invariant::{run_until_checked, InvariantSet, InvariantViolation};
-use agentnet_engine::sim::{run_until, Step, TimeStepSim};
+use agentnet_engine::sim::{Step, TimeStepSim};
 use agentnet_engine::TimeSeries;
-use agentnet_graph::connectivity::reaches_any;
-use agentnet_graph::{DiGraph, NodeId};
+use agentnet_graph::NodeId;
 use agentnet_radio::WirelessNetwork;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -184,17 +184,11 @@ pub struct RoutingSim {
     net: WirelessNetwork,
     config: RoutingConfig,
     agents: Vec<RoutingAgent>,
-    tables: Vec<RoutingTable>,
+    routes: RouteBook,
     boards: Vec<FootprintBoard>,
-    is_gateway: Vec<bool>,
-    live_gateways: Vec<NodeId>,
     rng: SmallRng,
-    connectivity: TimeSeries,
     overhead: Overhead,
     trace: TraceLog,
-    /// Persistent forwarding graph revalidated from deltas each step —
-    /// always agrees with the from-scratch [`Self::connectivity`].
-    route_index: RouteIndex,
     groups: GroupScratch,
     pending: Vec<Option<NodeId>>,
     avoid: Vec<NodeId>,
@@ -226,21 +220,14 @@ impl RoutingSim {
         if net.gateways().is_empty() {
             return Err(CoreError::invalid("routing needs at least one gateway"));
         }
-        let mut is_gateway = vec![false; n];
-        for &g in net.gateways() {
-            if let Some(flag) = is_gateway.get_mut(g.index()) {
-                *flag = true;
-            }
-        }
-        let live_gateways = net.gateways().to_vec();
+        let routes = RouteBook::new(&net);
         let mut rng = SmallRng::seed_from_u64(seed);
         let agents = (0..config.population)
             .map(|_| {
                 let at = NodeId::new(rng.random_range(0..n));
                 let mut memory = VisitMemory::new(config.history_size);
                 memory.record(at, Step::ZERO);
-                let on_gateway = is_gateway.get(at.index()).copied().unwrap_or(false);
-                let carried = on_gateway.then_some(Carried { gateway: at, hops: 0 });
+                let carried = routes.is_gateway(at).then_some(Carried { gateway: at, hops: 0 });
                 RoutingAgent { at, carried, memory }
             })
             .collect();
@@ -250,15 +237,11 @@ impl RoutingSim {
             net,
             config,
             agents,
-            tables: vec![RoutingTable::new(); n],
+            routes,
             boards,
-            is_gateway,
-            live_gateways,
             rng,
-            connectivity: TimeSeries::new(),
             overhead: Overhead::default(),
             trace,
-            route_index: RouteIndex::new(n),
             groups: GroupScratch::new(),
             pending: Vec::new(),
             avoid: Vec::new(),
@@ -268,11 +251,6 @@ impl RoutingSim {
     /// The run configuration.
     pub fn config(&self) -> &RoutingConfig {
         &self.config
-    }
-
-    /// The underlying wireless network.
-    pub fn network(&self) -> &WirelessNetwork {
-        &self.net
     }
 
     /// Mutable access to the network for fault-injection scenarios
@@ -288,22 +266,7 @@ impl RoutingSim {
     /// connectivity metric stops accepting chains that end on it.
     /// Returns `false` if `id` was not a live gateway.
     pub fn fail_gateway(&mut self, id: NodeId) -> bool {
-        let Some(pos) = self.live_gateways.iter().position(|&g| g == id) else {
-            return false;
-        };
-        self.live_gateways.remove(pos);
-        if let Some(flag) = self.is_gateway.get_mut(id.index()) {
-            *flag = false;
-        }
-        // Its forwarding row changes shape (non-gateways export their
-        // table entries); the next refresh must rewrite it.
-        self.route_index.mark_dirty(id);
-        true
-    }
-
-    /// Gateways whose uplink is still live.
-    pub fn live_gateways(&self) -> &[NodeId] {
-        &self.live_gateways
+        self.routes.fail_gateway(id)
     }
 
     /// The routing table of `node`.
@@ -316,12 +279,7 @@ impl RoutingSim {
         // Documented panic on an out-of-range node; inspection-only
         // accessor, never on the step path.
         // agentlint::allow(no-panic-in-kernel)
-        &self.tables[node.index()]
-    }
-
-    /// Every node's routing table, indexed by node id.
-    pub fn tables(&self) -> &[RoutingTable] {
-        &self.tables
+        &self.routes.tables()[node.index()]
     }
 
     /// Current node of each agent, in agent order.
@@ -345,64 +303,15 @@ impl RoutingSim {
         self.agents.iter().map(|a| a.carried.map(|c| c.hops)).collect()
     }
 
-    /// The recorded connectivity series.
-    pub fn connectivity_series(&self) -> &TimeSeries {
-        &self.connectivity
-    }
-
-    /// Cumulative overhead counters (migrations, meeting messages,
-    /// footprint and table writes) for the run so far.
-    pub fn overhead(&self) -> Overhead {
-        self.overhead
-    }
-
     /// The event trace (empty unless
     /// [`RoutingConfig::trace_capacity`] is nonzero).
     pub fn trace(&self) -> &TraceLog {
         &self.trace
     }
 
-    /// Fraction of nodes whose next-hop chain currently reaches a gateway
-    /// (gateways count as connected).
-    ///
-    /// A node may chain through *any* entry of downstream tables — a
-    /// packet for the outside world accepts any gateway.
-    ///
-    /// This is the *from-scratch reference*: it rebuilds the forwarding
-    /// graph from the tables on every call, so it stays correct under
-    /// arbitrary external mutation (tests poke tables directly). The
-    /// step loop instead records the delta-maintained
-    /// [`RouteIndex`] result, which is asserted identical by the
-    /// [`crate::validate::routing_invariants`] differential check.
-    pub fn connectivity(&self) -> f64 {
-        let links = self.net.links();
-        let n = self.net.node_count();
-        // Forwarding graph: v -> next_hop for every table entry whose link
-        // is currently live.
-        let mut forwarding = DiGraph::new(n);
-        for (v, (&gw, table)) in self.is_gateway.iter().zip(&self.tables).enumerate() {
-            if gw {
-                continue;
-            }
-            let from = NodeId::new(v);
-            for next in table.next_hops() {
-                if links.has_edge(from, next) {
-                    forwarding.add_edge(from, next);
-                }
-            }
-        }
-        let valid = reaches_any(&forwarding, &self.live_gateways);
-        valid.iter().filter(|&&v| v).count() as f64 / n as f64
-    }
-
-    /// Runs for exactly `steps` steps, recording connectivity per step.
-    pub fn run(&mut self, steps: u64) -> RoutingOutcome {
-        let _ = run_until(self, Step::new(steps));
-        RoutingOutcome { connectivity: self.connectivity.clone() }
-    }
-
-    /// Like [`Self::run`], but validates `checks` after every step (see
-    /// [`crate::validate::routing_invariants`] for the standard set).
+    /// Like [`RoutingProtocol::run`], but validates `checks` after every
+    /// step (see [`crate::validate::routing_invariants`] for the
+    /// standard set).
     ///
     /// # Errors
     ///
@@ -414,7 +323,7 @@ impl RoutingSim {
         checks: &mut InvariantSet<Self>,
     ) -> Result<RoutingOutcome, InvariantViolation> {
         run_until_checked(self, Step::new(steps), checks)?;
-        Ok(RoutingOutcome { connectivity: self.connectivity.clone() })
+        Ok(RoutingOutcome { connectivity: self.routes.connectivity_series().clone() })
     }
 
     /// Movement-decision phase; fills `self.pending` with each agent's
@@ -547,7 +456,7 @@ impl RoutingSim {
                 _ => false,
             };
             agent.memory.record(agent.at, now);
-            if self.is_gateway.get(agent.at.index()).copied().unwrap_or(false) {
+            if self.routes.is_gateway(agent.at) {
                 // Standing on a gateway resets the claim to zero hops.
                 agent.carried = Some(Carried { gateway: agent.at, hops: 0 });
                 continue;
@@ -558,10 +467,7 @@ impl RoutingSim {
             match &mut agent.carried {
                 Some(c) if c.hops < history => {
                     c.hops += 1;
-                    if let Some(table) = self.tables.get_mut(agent.at.index()) {
-                        table.install(RouteEntry::new(c.gateway, prev, c.hops, now));
-                    }
-                    self.route_index.mark_dirty(agent.at);
+                    self.routes.install(agent.at, RouteEntry::new(c.gateway, prev, c.hops, now));
                     self.overhead.table_writes += 1;
                     if self.config.trace_capacity > 0 {
                         self.trace.record(TraceEvent::TableWrite {
@@ -599,17 +505,25 @@ impl TimeStepSim for RoutingSim {
         let pending = std::mem::take(&mut self.pending);
         self.move_and_update(&pending, now);
         self.pending = pending;
+        self.routes.revalidate(&self.net);
+    }
+}
 
-        // Revalidate routes from deltas: table writes dirtied their nodes
-        // above, and a topology-version bump forces the full resync.
-        self.route_index.refresh(
-            &self.tables,
-            self.net.links(),
-            &self.is_gateway,
-            self.net.topology_version(),
-        );
-        let c = self.route_index.connected_fraction(&self.live_gateways);
-        self.connectivity.record(c);
+impl RoutingProtocol for RoutingSim {
+    fn kind(&self) -> ProtocolKind {
+        ProtocolKind::Agents
+    }
+
+    fn network(&self) -> &WirelessNetwork {
+        &self.net
+    }
+
+    fn routes(&self) -> &RouteBook {
+        &self.routes
+    }
+
+    fn overhead(&self) -> Overhead {
+        self.overhead
     }
 }
 
@@ -742,7 +656,7 @@ mod tests {
         // Force a meeting on a non-gateway node with distinct knowledge.
         let spot = (0..sim.network().node_count())
             .map(NodeId::new)
-            .find(|n| !sim.is_gateway[n.index()])
+            .find(|&n| !sim.routes.is_gateway(n))
             .unwrap();
         sim.agents[0].at = spot;
         sim.agents[0].carried = Some(Carried { gateway: sim.network().gateways()[0], hops: 7 });
@@ -765,19 +679,16 @@ mod tests {
         let gw = sim.network().gateways()[0];
         // Find a neighbour chain gw <- a <- b on live links.
         let links = sim.network().links().clone();
-        let a = *links.in_neighbors(gw).iter().find(|&&v| !sim.is_gateway[v.index()]).unwrap();
-        let b = *links
-            .in_neighbors(a)
-            .iter()
-            .find(|&&v| v != gw && !sim.is_gateway[v.index()])
-            .unwrap();
-        sim.tables[a.index()].install(RouteEntry::new(gw, gw, 1, Step::ZERO));
-        sim.tables[b.index()].install(RouteEntry::new(gw, a, 2, Step::ZERO));
+        let a = *links.in_neighbors(gw).iter().find(|&&v| !sim.routes.is_gateway(v)).unwrap();
+        let b =
+            *links.in_neighbors(a).iter().find(|&&v| v != gw && !sim.routes.is_gateway(v)).unwrap();
+        sim.routes.install(a, RouteEntry::new(gw, gw, 1, Step::ZERO));
+        sim.routes.install(b, RouteEntry::new(gw, a, 2, Step::ZERO));
         let base = sim.network().gateways().len() as f64;
         let n = sim.network().node_count() as f64;
         assert!((sim.connectivity() - (base + 2.0) / n).abs() < 1e-12);
         // Point b's entry at a dead neighbour: chain collapses to a only.
-        sim.tables[b.index()].install(RouteEntry::new(gw, b, 2, Step::ZERO));
+        sim.routes.install(b, RouteEntry::new(gw, b, 2, Step::ZERO));
         assert!((sim.connectivity() - (base + 1.0) / n).abs() < 1e-12);
     }
 
@@ -945,8 +856,8 @@ mod tests {
                     assert_eq!(e.age(Step::new(5)), 0);
                 }
             }
-            sim.tables[i].evict_older_than(Step::new(5), 1_000);
         }
+        sim.routes.evict_older_than(Step::new(5), 1_000);
         assert!(future_stamped > 0, "no future-stamped entries; test is vacuous");
     }
 

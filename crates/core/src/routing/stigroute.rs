@@ -22,12 +22,11 @@
 use crate::agent::AgentId;
 use crate::error::CoreError;
 use crate::overhead::Overhead;
-use crate::routing::index::RouteIndex;
+use crate::routing::index::RouteBook;
 use crate::routing::protocol::{ProtocolKind, RoutingProtocol};
-use crate::routing::table::{RouteEntry, RoutingTable};
+use crate::routing::table::RouteEntry;
 use crate::stigmergy::FootprintBoard;
 use agentnet_engine::sim::{Step, TimeStepSim};
-use agentnet_engine::TimeSeries;
 use agentnet_graph::NodeId;
 use agentnet_radio::WirelessNetwork;
 use rand::rngs::SmallRng;
@@ -112,14 +111,10 @@ pub struct StigRouteSim {
     net: WirelessNetwork,
     config: StigRouteConfig,
     agents: Vec<StigAgent>,
-    tables: Vec<RoutingTable>,
+    routes: RouteBook,
     boards: Vec<FootprintBoard>,
-    is_gateway: Vec<bool>,
-    live_gateways: Vec<NodeId>,
     rng: SmallRng,
-    connectivity: TimeSeries,
     overhead: Overhead,
-    route_index: RouteIndex,
     // Per-step scratch, reused across steps to keep the kernel
     // allocation-free.
     pool: Vec<NodeId>,
@@ -162,19 +157,12 @@ impl StigRouteSim {
         if net.gateways().is_empty() {
             return Err(CoreError::invalid("stigmergic routing needs at least one gateway"));
         }
-        let mut is_gateway = vec![false; n];
-        for &g in net.gateways() {
-            if let Some(flag) = is_gateway.get_mut(g.index()) {
-                *flag = true;
-            }
-        }
-        let live_gateways = net.gateways().to_vec();
+        let routes = RouteBook::new(&net);
         let mut rng = SmallRng::seed_from_u64(seed);
         let agents = (0..config.population)
             .map(|_| {
                 let at = NodeId::new(rng.random_range(0..n));
-                let on_gateway = is_gateway.get(at.index()).copied().unwrap_or(false);
-                let claim = on_gateway.then_some(Claim { gateway: at, hops: 0 });
+                let claim = routes.is_gateway(at).then_some(Claim { gateway: at, hops: 0 });
                 StigAgent { at, claim }
             })
             .collect();
@@ -183,14 +171,10 @@ impl StigRouteSim {
             net,
             config,
             agents,
-            tables: vec![RoutingTable::new(); n],
+            routes,
             boards,
-            is_gateway,
-            live_gateways,
             rng,
-            connectivity: TimeSeries::new(),
             overhead: Overhead::default(),
-            route_index: RouteIndex::new(n),
             pool: Vec::new(),
             fresh: Vec::new(),
             avoid: Vec::new(),
@@ -256,33 +240,20 @@ impl StigRouteSim {
                 continue;
             };
             agent.at = target;
-            let on_gateway = self.is_gateway.get(target.index()).copied().unwrap_or(false);
-            if on_gateway {
+            if self.routes.is_gateway(target) {
                 // Fresh gateway contact: restart the trail at zero hops.
                 agent.claim = Some(Claim { gateway: target, hops: 0 });
             } else if let Some(claim) = agent.claim.as_mut() {
                 claim.hops = claim.hops.saturating_add(1);
                 if claim.hops <= self.config.trail_length {
-                    if let Some(table) = self.tables.get_mut(target.index()) {
-                        table.install(RouteEntry::new(claim.gateway, at, claim.hops, now));
-                        self.overhead.table_writes += 1;
-                        self.route_index.mark_dirty(target);
-                    }
+                    self.routes
+                        .install(target, RouteEntry::new(claim.gateway, at, claim.hops, now));
+                    self.overhead.table_writes += 1;
                 } else {
                     // Trail exhausted; wander claimless until the next
                     // gateway contact.
                     agent.claim = None;
                 }
-            }
-        }
-    }
-
-    /// Evicts route entries older than `route_ttl`.
-    #[agentnet::hot_path]
-    fn decay(&mut self, now: Step) {
-        for (v, table) in self.tables.iter_mut().enumerate() {
-            if table.evict_older_than(now, self.config.route_ttl) > 0 {
-                self.route_index.mark_dirty(NodeId::new(v));
             }
         }
     }
@@ -293,15 +264,8 @@ impl TimeStepSim for StigRouteSim {
         // The world changes first: nodes move, batteries decay.
         self.net.advance();
         self.advance_agents(now);
-        self.decay(now);
-        self.route_index.refresh(
-            &self.tables,
-            self.net.links(),
-            &self.is_gateway,
-            self.net.topology_version(),
-        );
-        let c = self.route_index.connected_fraction(&self.live_gateways);
-        self.connectivity.record(c);
+        self.routes.evict_older_than(now, self.config.route_ttl);
+        self.routes.revalidate(&self.net);
     }
 }
 
@@ -314,16 +278,8 @@ impl RoutingProtocol for StigRouteSim {
         &self.net
     }
 
-    fn tables(&self) -> &[RoutingTable] {
-        &self.tables
-    }
-
-    fn live_gateways(&self) -> &[NodeId] {
-        &self.live_gateways
-    }
-
-    fn connectivity_series(&self) -> &TimeSeries {
-        &self.connectivity
+    fn routes(&self) -> &RouteBook {
+        &self.routes
     }
 
     fn overhead(&self) -> Overhead {
@@ -406,7 +362,7 @@ mod tests {
         let run = |seed: u64| {
             let mut s = StigRouteSim::new(net(2), StigRouteConfig::new(10), seed).unwrap();
             let out = RoutingProtocol::run(&mut s, 50);
-            (out, s.tables.clone(), s.overhead)
+            (out, s.routes.tables().to_vec(), s.overhead)
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42).0, run(43).0);
@@ -416,7 +372,7 @@ mod tests {
     fn recorded_connectivity_matches_from_scratch_reference() {
         let mut s = sim(11);
         let _ = RoutingProtocol::run(&mut s, 60);
-        let last = s.connectivity.values().last().copied().unwrap();
+        let last = s.routes.connectivity_series().values().last().copied().unwrap();
         assert_eq!(last, RoutingProtocol::connectivity(&s));
     }
 }

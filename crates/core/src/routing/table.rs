@@ -9,7 +9,7 @@
 //! until some agent re-repairs the chain.
 
 use agentnet_engine::Step;
-use agentnet_graph::NodeId;
+use agentnet_graph::{DiGraph, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// One routing-table entry: "to reach `gateway`, forward to `next_hop`
@@ -108,6 +108,15 @@ impl RoutingTable {
     /// The entry with the fewest estimated hops (ties: lower gateway id).
     pub fn best_entry(&self) -> Option<&RouteEntry> {
         self.entries.iter().min_by_key(|e| (e.hops, e.gateway))
+    }
+
+    /// The entry a packet at `from` forwards along: the fewest-hop entry
+    /// whose next-hop link is live in `links` (ties: lower gateway id).
+    pub fn best_live_entry(&self, from: NodeId, links: &DiGraph) -> Option<&RouteEntry> {
+        self.entries
+            .iter()
+            .filter(|e| links.has_edge(from, e.next_hop))
+            .min_by_key(|e| (e.hops, e.gateway))
     }
 
     /// Removes entries older than `max_age` at time `now`; returns how

@@ -9,6 +9,7 @@
 //! quantify the quality of the tables the agents maintain — "an average
 //! packet will use a multi-hop path to reach one of those gateways".
 
+use crate::routing::protocol::RoutingProtocol;
 use crate::routing::sim::RoutingSim;
 use agentnet_engine::sim::{Step, TimeStepSim};
 use agentnet_graph::paths::bfs_distances;
@@ -186,13 +187,8 @@ impl TrafficSim {
             packet.age += 1;
             // Forward along the freshest viable entry: fewest claimed
             // hops among entries whose link is currently live.
-            let table = self.sim.table(packet.at);
-            let next = table
-                .entries()
-                .iter()
-                .filter(|e| links.has_edge(packet.at, e.next_hop))
-                .min_by_key(|e| (e.hops, e.gateway))
-                .map(|e| e.next_hop);
+            let next =
+                self.sim.table(packet.at).best_live_entry(packet.at, links).map(|e| e.next_hop);
             if let Some(next) = next {
                 packet.at = next;
                 packet.hops += 1;

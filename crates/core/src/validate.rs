@@ -16,7 +16,7 @@
 //! trips a checked run.
 
 use crate::mapping::MappingSim;
-use crate::routing::RoutingSim;
+use crate::routing::{RoutingProtocol, RoutingSim};
 use agentnet_engine::invariant::{Invariant, InvariantSet};
 use agentnet_engine::sim::{Step, TimeStepSim};
 use agentnet_graph::connectivity::fraction_reaching;
@@ -401,9 +401,10 @@ impl Invariant<RoutingSim> for RoutingConnectivityBounds {
 
 /// Differential check of the incremental route index: the per-step
 /// connectivity value recorded by the simulation comes from the
-/// delta-maintained [`crate::routing::RouteIndex`]; it must be
-/// bit-identical to the from-scratch [`RoutingSim::connectivity`]
-/// reference, or the index missed an update.
+/// delta-maintained index of its [`crate::routing::RouteBook`]; it must
+/// be bit-identical to the from-scratch
+/// [`RoutingProtocol::connectivity`] reference, or the index missed an
+/// update.
 #[derive(Debug, Default)]
 pub struct RoutingIndexMatchesReference;
 

@@ -85,8 +85,8 @@
 //! `--metrics-prom` writes the registry as Prometheus text, and
 //! `--metrics-out` writes a run manifest with a `serve` section.
 //! `--dump-routes` skips the sockets entirely and prints every node's
-//! frozen route reply deterministically (the golden check that serving
-//! answers match the batch `RouteIndex`).
+//! frozen route and reachability replies deterministically (the golden
+//! surface for what the daemon serves).
 
 use agentnet_core::routing::ProtocolKind;
 use agentnet_engine::obs::{Metrics, DURATION_MICROS_BUCKETS};
@@ -548,12 +548,10 @@ fn run_serve(args: impl Iterator<Item = String>) -> ExitCode {
 }
 
 /// `repro serve --dump-routes`: skip the sockets, freeze the map after
-/// warmup, and print every node's wire-format route reply — the golden
-/// surface pinning "a frozen daemon answers exactly what the batch
-/// `RouteIndex` computes".
+/// warmup, and print every node's wire-format route and reachability
+/// replies — the golden surface pinning what a frozen daemon answers.
 fn dump_frozen_routes(config: &agentnet_serve::ServeConfig) -> ExitCode {
     use agentnet_baselines::zoo::build_protocol;
-    use agentnet_core::routing::RouteIndex;
     use agentnet_engine::Step;
     use agentnet_graph::NodeId;
     use agentnet_radio::NetworkBuilder;
@@ -577,8 +575,7 @@ fn dump_frozen_routes(config: &agentnet_serve::ServeConfig) -> ExitCode {
         protocol.step(Step::new(s));
     }
     let n = protocol.network().node_count();
-    let mut index = RouteIndex::new(n);
-    let snap = MapSnapshot::capture(protocol.as_ref(), &mut index, Step::new(config.warmup_steps));
+    let snap = MapSnapshot::capture(protocol.as_ref(), Step::new(config.warmup_steps));
     println!("{}", wire::respond(0, wire::Request::Info, &snap));
     for v in 0..n {
         let node = NodeId::new(v);

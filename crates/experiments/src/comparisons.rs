@@ -9,7 +9,9 @@ use crate::{
 use agentnet_baselines::{AcoConfig, AcoSim, DvConfig, DvSim};
 use agentnet_core::overhead::Overhead;
 use agentnet_core::policy::RoutingPolicy;
-use agentnet_core::routing::{RoutingConfig, RoutingSim, TrafficConfig, TrafficSim, TrafficStats};
+use agentnet_core::routing::{
+    RoutingConfig, RoutingProtocol, RoutingSim, TrafficConfig, TrafficSim, TrafficStats,
+};
 use agentnet_engine::table::Table;
 use agentnet_engine::{Summary, TimeSeries};
 

@@ -294,9 +294,9 @@ fn observe_network(m: &Metrics, net: &WirelessNetwork) {
     m.gauge_set("radio_advance_shards", net.advance_shards() as f64);
 }
 
-/// Order-sensitive fingerprint of a graph's structure, for keying
+/// Order-sensitive hash of a graph's structure, for keying
 /// cached results computed on ad-hoc (non-paper) topologies.
-pub fn graph_fingerprint(graph: &DiGraph) -> u64 {
+pub fn graph_key(graph: &DiGraph) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ graph.node_count() as u64;
     for e in graph.edges() {
         h ^= ((e.from.index() as u64) << 32) | e.to.index() as u64;
@@ -389,7 +389,7 @@ pub fn mapping_finishing_times(
 ) -> Summary {
     let mut config = config.clone();
     config.trace_capacity = config.trace_capacity.max(ctx.trace_capacity());
-    let params = (graph_fingerprint(graph), config.clone());
+    let params = (graph_key(graph), config.clone());
     let samples: Vec<f64> = ctx.replicated("mapping-finish", &params, stream, |i, s| {
         let mut sim = MappingSim::new(graph.clone(), config.clone(), s.seed())
             .expect("mapping config must be valid");
@@ -410,7 +410,7 @@ pub fn mapping_knowledge_curve(
 ) -> TimeSeries {
     let mut config = config.clone();
     config.trace_capacity = config.trace_capacity.max(ctx.trace_capacity());
-    let params = (graph_fingerprint(graph), config.clone());
+    let params = (graph_key(graph), config.clone());
     let curves: Vec<TimeSeries> = ctx.replicated("mapping-curve", &params, stream, |i, s| {
         let mut sim = MappingSim::new(graph.clone(), config.clone(), s.seed())
             .expect("mapping config must be valid");
@@ -596,10 +596,10 @@ mod tests {
     }
 
     #[test]
-    fn graph_fingerprint_tracks_structure() {
-        let a = graph_fingerprint(&agentnet_graph::generators::grid(4, 4));
-        let b = graph_fingerprint(&agentnet_graph::generators::grid(4, 4));
-        let c = graph_fingerprint(&agentnet_graph::generators::grid(4, 5));
+    fn graph_key_tracks_structure() {
+        let a = graph_key(&agentnet_graph::generators::grid(4, 4));
+        let b = graph_key(&agentnet_graph::generators::grid(4, 4));
+        let c = graph_key(&agentnet_graph::generators::grid(4, 5));
         assert_eq!(a, b);
         assert_ne!(a, c);
     }

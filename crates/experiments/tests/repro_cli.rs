@@ -233,40 +233,15 @@ fn observability_flags_do_not_change_stdout_bytes() {
 }
 
 #[test]
-fn serve_dump_routes_is_deterministic_and_matches_the_batch_route_index() {
+fn serve_dump_routes_is_deterministic_and_matches_the_golden_file() {
     let args = ["serve", "--nodes", "120", "--seed", "9", "--warmup", "50", "--dump-routes"];
     let first = stdout(&repro(&args));
     let second = stdout(&repro(&args));
     assert_eq!(first, second, "--dump-routes must be a pure function of its flags");
-
-    // Recompute the expected dump in-process: the daemon's frozen
-    // answers are exactly what a batch `RouteIndex` capture of the
-    // same arm at the same seed and step produces.
-    use agentnet_baselines::zoo::{build_protocol, ZooParams};
-    use agentnet_core::routing::{ProtocolKind, RouteIndex};
-    use agentnet_engine::Step;
-    use agentnet_graph::NodeId;
-    use agentnet_radio::NetworkBuilder;
-    use agentnet_serve::{wire, MapSnapshot};
-
-    let net = NetworkBuilder::scaled_preset(120).build(9).unwrap();
-    let mut protocol = build_protocol(ProtocolKind::Agents, net, &ZooParams::default(), 9).unwrap();
-    for s in 0..50 {
-        protocol.step(Step::new(s));
-    }
-    let mut index = RouteIndex::new(120);
-    let snap = MapSnapshot::capture(protocol.as_ref(), &mut index, Step::new(50));
-    let mut expected = String::new();
-    expected.push_str(&wire::respond(0, wire::Request::Info, &snap));
-    expected.push('\n');
-    for v in 0..120 {
-        let node = NodeId::new(v);
-        expected.push_str(&wire::respond(v as u64, wire::Request::Route(node), &snap));
-        expected.push('\n');
-        expected.push_str(&wire::respond(v as u64, wire::Request::Reach(node), &snap));
-        expected.push('\n');
-    }
-    assert_eq!(first, expected, "served routes diverged from the batch RouteIndex");
+    // The golden file is this command's output, pinned byte for byte:
+    // a diff here is a change to what a frozen daemon serves.
+    let golden = include_str!("serve_dump_routes.txt");
+    assert_eq!(first, golden, "served routes diverged from the golden dump");
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //!
 //! * a **step thread** advances the wireless substrate and, after every
 //!   step, captures a self-contained [`snapshot::MapSnapshot`] (best
-//!   route per node, live link rows, per-node reachability from
-//!   [`agentnet_core::routing::RouteIndex`]);
+//!   route per node, live link rows, and the per-node reachability the
+//!   arm's [`agentnet_core::routing::RouteBook`] revalidated that step);
 //! * snapshots are published through [`snapshot::SnapshotCell`], one
 //!   mutex around the current snapshot `Arc` — readers clone the `Arc`
 //!   and answer entirely from one immutable snapshot, so a query holds

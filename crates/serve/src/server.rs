@@ -26,7 +26,7 @@ use crate::clock;
 use crate::snapshot::{MapSnapshot, SnapshotCell};
 use crate::wire;
 use agentnet_baselines::zoo::{build_protocol, ZooParams};
-use agentnet_core::routing::{ProtocolKind, RouteIndex};
+use agentnet_core::routing::{ProtocolKind, RoutingProtocol};
 use agentnet_engine::obs::Metrics;
 use agentnet_engine::Step;
 use agentnet_radio::NetworkBuilder;
@@ -168,10 +168,7 @@ impl Server {
         for s in 0..config.warmup_steps {
             protocol.step(Step::new(s));
         }
-        let n = protocol.network().node_count();
-        let mut index = RouteIndex::new(n);
-        let initial =
-            MapSnapshot::capture(protocol.as_ref(), &mut index, Step::new(config.warmup_steps));
+        let initial = MapSnapshot::capture(protocol.as_ref(), Step::new(config.warmup_steps));
         let cell = Arc::new(SnapshotCell::new(initial));
         let stop = Arc::new(AtomicBool::new(false));
         let stepping_done = Arc::new(AtomicBool::new(config.steps == 0));
@@ -227,7 +224,6 @@ impl Server {
                     .spawn(move || {
                         step_loop(
                             protocol.as_mut(),
-                            &mut index,
                             &cell,
                             &stop,
                             &metrics,
@@ -314,10 +310,8 @@ impl Drop for Server {
 
 /// The step thread body: advance, capture, publish, pace — until the
 /// budget is spent or stop is raised.
-#[allow(clippy::too_many_arguments)]
 fn step_loop(
-    protocol: &mut dyn agentnet_core::routing::RoutingProtocol,
-    index: &mut RouteIndex,
+    protocol: &mut dyn RoutingProtocol,
     cell: &SnapshotCell,
     stop: &AtomicBool,
     metrics: &Metrics,
@@ -338,7 +332,7 @@ fn step_loop(
         };
         {
             let _span = metrics.span("serve_capture_micros");
-            let snap = MapSnapshot::capture(protocol, index, Step::new(stepped));
+            let snap = MapSnapshot::capture(protocol, Step::new(stepped));
             match cell.publish(snap) {
                 Ok(seq) => metrics.gauge_set("serve_snapshot_seq", seq as f64),
                 Err(_) => metrics.counter_add("serve_snapshot_rejects_total", 1),

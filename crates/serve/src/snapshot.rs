@@ -5,15 +5,17 @@
 //! node, live out-link rows, per-node reachability, the gateway set —
 //! under one header carrying the step count and
 //! [`topology_version`](agentnet_radio::WirelessNetwork::topology_version).
-//! Readers answer entirely from one snapshot `Arc`, so a query can
-//! never observe half of step *k* and half of step *k+1*: the
-//! time-reversal panics `Step::since` guards against are impossible by
-//! construction (ages are precomputed at capture with saturating
-//! arithmetic, and [`SnapshotCell::publish`] rejects any non-monotone
-//! header).
+//! Reachability is copied from the arm's own
+//! [`RouteBook`](agentnet_core::routing::RouteBook), which revalidates
+//! it at the end of every step. A published snapshot is an immutable
+//! `Arc`, and readers answer entirely from one, so a query can never
+//! observe half of step *k* and half of step *k+1*: the time-reversal
+//! panics `Step::since` guards against are impossible by construction
+//! (ages are precomputed at capture with saturating arithmetic, and
+//! [`SnapshotCell::publish`] rejects any non-monotone header).
 
 use crate::clock;
-use agentnet_core::routing::{RouteIndex, RoutingProtocol};
+use agentnet_core::routing::RoutingProtocol;
 use agentnet_engine::Step;
 use agentnet_graph::NodeId;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -92,8 +94,7 @@ impl SnapshotCell {
             ));
         }
         let seq = old.seq + 1;
-        // `next` is not shared yet, so this always stamps. The seq is
-        // deliberately outside the fingerprint: `validate` keeps passing.
+        // `next` is not shared yet, so this always stamps.
         if let Some(fresh) = Arc::get_mut(&mut next) {
             fresh.header.seq = seq;
         }
@@ -106,9 +107,9 @@ impl SnapshotCell {
 }
 
 /// One node's best current route: the fewest-hop table entry whose
-/// next-hop link is live at capture time (ties broken by lower gateway
-/// id, matching
-/// [`RoutingTable::best_entry`](agentnet_core::routing::RoutingTable::best_entry)).
+/// next-hop link is live at capture time, ties broken by lower gateway
+/// id
+/// ([`RoutingTable::best_live_entry`](agentnet_core::routing::RoutingTable::best_live_entry)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RouteAnswer {
     /// The gateway the route leads to.
@@ -133,56 +134,33 @@ pub struct MapSnapshot {
     out_links: Vec<Vec<NodeId>>,
     /// Best live route per node (`None` for gateways and routeless nodes).
     routes: Vec<Option<RouteAnswer>>,
-    /// Per-node chain-reachability flags from [`RouteIndex`].
+    /// Per-node chain-reachability flags of the arm's last step.
     reachable: Vec<bool>,
     /// Fraction of nodes whose chains reach a live gateway.
     reachable_fraction: f64,
     /// Wall-clock capture time (staleness metrics only — never answers).
     captured_at: Instant,
-    /// FNV-1a fingerprint over the content (excluding `seq` and
-    /// `captured_at`); [`MapSnapshot::validate`] recomputes it to catch
-    /// torn reads in stress tests.
-    checksum: u64,
 }
 
 impl MapSnapshot {
-    /// Captures a snapshot of `protocol` at `step`, refreshing `index`
-    /// against the current tables/links (the index is the daemon's
-    /// persistent reverse-BFS cache; pass the same one every capture
-    /// for delta-maintained refreshes).
-    pub fn capture(protocol: &dyn RoutingProtocol, index: &mut RouteIndex, step: Step) -> Self {
+    /// Captures a snapshot of `protocol` at `step`: reachability as
+    /// the arm's route book revalidated it at the end of its last step,
+    /// and per node the best entry over a live link.
+    pub fn capture(protocol: &dyn RoutingProtocol, step: Step) -> Self {
         let net = protocol.network();
+        let book = protocol.routes();
         let n = net.node_count();
         let links = net.links();
-        let mut is_gateway = vec![false; n];
-        for g in net.gateways() {
-            if let Some(flag) = is_gateway.get_mut(g.index()) {
-                *flag = true;
-            }
-        }
-        let tables = protocol.tables();
-        index.refresh(tables, links, &is_gateway, net.topology_version());
-        let reachable_fraction = index.connected_fraction(protocol.live_gateways());
-        let reachable = index.reached().to_vec();
+        let reachable = protocol.reached().to_vec();
+        let reachable_fraction = reachable.iter().filter(|&&ok| ok).count() as f64 / n as f64;
 
         let mut out_links = Vec::with_capacity(n);
         let mut routes = Vec::with_capacity(n);
-        for v in 0..n {
+        for (v, table) in protocol.tables().iter().enumerate() {
             let from = NodeId::new(v);
             out_links.push(links.out_neighbors(from).to_vec());
-            let best = if is_gateway.get(v).copied().unwrap_or(false) {
-                None
-            } else {
-                tables
-                    .get(v)
-                    .map(|t| {
-                        t.entries()
-                            .iter()
-                            .filter(|e| links.has_edge(from, e.next_hop))
-                            .min_by_key(|e| (e.hops, e.gateway))
-                    })
-                    .unwrap_or(None)
-            };
+            let best =
+                if book.is_gateway(from) { None } else { table.best_live_entry(from, links) };
             routes.push(best.map(|e| RouteAnswer {
                 gateway: e.gateway,
                 next_hop: e.next_hop,
@@ -191,7 +169,7 @@ impl MapSnapshot {
             }));
         }
 
-        let mut snap = MapSnapshot {
+        MapSnapshot {
             header: SnapshotHeader {
                 seq: 0,
                 step: step.as_u64(),
@@ -203,10 +181,7 @@ impl MapSnapshot {
             reachable,
             reachable_fraction,
             captured_at: clock::now(),
-            checksum: 0,
-        };
-        snap.checksum = snap.fingerprint();
-        snap
+        }
     }
 
     /// The snapshot's monotone header.
@@ -262,54 +237,10 @@ impl MapSnapshot {
         now.saturating_duration_since(self.captured_at).as_micros() as f64
     }
 
-    /// FNV-1a over all answer-relevant content. Excludes `seq` (stamped
-    /// after capture by [`SnapshotCell::publish`]) and `captured_at`.
-    fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |x: u64| {
-            for byte in x.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.header.step);
-        eat(self.header.topology_version);
-        eat(self.reachable_fraction.to_bits());
-        eat(self.gateways.len() as u64);
-        for g in &self.gateways {
-            eat(g.index() as u64);
-        }
-        for row in &self.out_links {
-            eat(row.len() as u64);
-            for v in row {
-                eat(v.index() as u64);
-            }
-        }
-        for route in &self.routes {
-            match route {
-                None => eat(u64::MAX),
-                Some(r) => {
-                    eat(r.gateway.index() as u64);
-                    eat(r.next_hop.index() as u64);
-                    eat(u64::from(r.hops));
-                    eat(r.age);
-                }
-            }
-        }
-        for &flag in &self.reachable {
-            eat(u64::from(flag));
-        }
-        h
-    }
-
-    /// Asserts the snapshot is internally consistent: the stored
-    /// fingerprint matches a recomputation (torn-read detector for the
-    /// swap-vs-read stress tests) and the structural invariants hold —
-    /// parallel vectors agree on `n`, every route's next hop is one of
-    /// the node's live out-links, every route's gateway and every BFS
-    /// seed is flagged reachable.
+    /// Asserts the snapshot is internally consistent: parallel vectors
+    /// agree on `n`, every live gateway is flagged reachable, and every
+    /// route's next hop is one of the node's live out-links and its
+    /// gateway a live one.
     ///
     /// # Errors
     ///
@@ -318,13 +249,10 @@ impl MapSnapshot {
         let n = self.routes.len();
         if self.out_links.len() != n || self.reachable.len() != n {
             return Err(format!(
-                "torn snapshot: parallel vectors disagree (routes {n}, links {}, reachable {})",
+                "malformed snapshot: parallel vectors disagree (routes {n}, links {}, reachable {})",
                 self.out_links.len(),
                 self.reachable.len()
             ));
-        }
-        if self.checksum != self.fingerprint() {
-            return Err("torn snapshot: content fingerprint mismatch".to_string());
         }
         for g in &self.gateways {
             if !self.reachable.get(g.index()).copied().unwrap_or(false) {
@@ -360,22 +288,18 @@ mod tests {
         build_protocol(ProtocolKind::Agents, net, &ZooParams::with_population(12), seed).unwrap()
     }
 
-    fn snapshot_after(
-        steps: u64,
-        seed: u64,
-    ) -> (Box<dyn RoutingProtocol>, RouteIndex, MapSnapshot) {
+    fn snapshot_after(steps: u64, seed: u64) -> (Box<dyn RoutingProtocol>, MapSnapshot) {
         let mut protocol = arm(seed);
         for s in 0..steps {
             protocol.step(Step::new(s));
         }
-        let mut index = RouteIndex::new(protocol.network().node_count());
-        let snap = MapSnapshot::capture(protocol.as_ref(), &mut index, Step::new(steps));
-        (protocol, index, snap)
+        let snap = MapSnapshot::capture(protocol.as_ref(), Step::new(steps));
+        (protocol, snap)
     }
 
     #[test]
     fn capture_is_internally_consistent() {
-        let (_, _, snap) = snapshot_after(60, 7);
+        let (_, snap) = snapshot_after(60, 7);
         snap.validate().expect("fresh capture must validate");
         assert_eq!(snap.header().step, 60);
         assert_eq!(snap.node_count(), 40);
@@ -385,7 +309,7 @@ mod tests {
 
     #[test]
     fn capture_matches_the_protocols_own_connectivity() {
-        let (protocol, _, snap) = snapshot_after(80, 3);
+        let (protocol, snap) = snapshot_after(80, 3);
         let reference = protocol.connectivity();
         assert_eq!(snap.reachable_fraction(), reference);
         let flagged =
@@ -395,7 +319,7 @@ mod tests {
 
     #[test]
     fn route_answers_reference_live_links_and_real_gateways() {
-        let (protocol, _, snap) = snapshot_after(60, 11);
+        let (protocol, snap) = snapshot_after(60, 11);
         for v in 0..snap.node_count() {
             let node = NodeId::new(v);
             if let Some(r) = snap.route(node).unwrap() {
@@ -410,7 +334,7 @@ mod tests {
 
     #[test]
     fn gateways_never_carry_routes() {
-        let (protocol, _, snap) = snapshot_after(60, 5);
+        let (protocol, snap) = snapshot_after(60, 5);
         for g in protocol.network().gateways() {
             assert!(snap.route(*g).unwrap().is_none());
             assert!(snap.is_reachable(*g).unwrap(), "gateways are self-reachable");
@@ -419,20 +343,24 @@ mod tests {
 
     #[test]
     fn validate_catches_a_doctored_snapshot() {
-        let (_, _, mut snap) = snapshot_after(60, 9);
+        let (_, mut snap) = snapshot_after(60, 9);
         let victim = snap.routes.iter().position(Option::is_some).unwrap();
-        snap.routes[victim] = None;
+        // A node never links to itself, so this route forwards over a
+        // dead link.
+        if let Some(route) = snap.routes[victim].as_mut() {
+            route.next_hop = NodeId::new(victim);
+        }
         let err = snap.validate().unwrap_err();
-        assert!(err.contains("fingerprint"), "{err}");
+        assert!(err.contains("dead link"), "{err}");
     }
 
     #[test]
     fn cell_assigns_strictly_increasing_sequence_numbers() {
-        let (protocol, mut index, first) = snapshot_after(10, 2);
+        let (protocol, first) = snapshot_after(10, 2);
         let cell = SnapshotCell::new(first);
         assert_eq!(cell.load().header().seq, 1);
         for k in 0..5 {
-            let snap = MapSnapshot::capture(protocol.as_ref(), &mut index, Step::new(10 + k));
+            let snap = MapSnapshot::capture(protocol.as_ref(), Step::new(10 + k));
             let seq = cell.publish(snap).unwrap();
             assert_eq!(seq, 2 + k);
             assert_eq!(cell.load().header().seq, seq);
@@ -441,11 +369,11 @@ mod tests {
 
     #[test]
     fn cell_retires_the_replaced_snapshot_for_one_publish() {
-        let (protocol, mut index, first) = snapshot_after(10, 2);
+        let (protocol, first) = snapshot_after(10, 2);
         let cell = SnapshotCell::new(first);
         let generation_one = Arc::downgrade(&cell.load());
-        let mut publish = |step| {
-            let snap = MapSnapshot::capture(protocol.as_ref(), &mut index, Step::new(step));
+        let publish = |step| {
+            let snap = MapSnapshot::capture(protocol.as_ref(), Step::new(step));
             cell.publish(snap).unwrap();
         };
         publish(11);
@@ -456,20 +384,20 @@ mod tests {
 
     #[test]
     fn cell_rejects_time_reversal() {
-        let (protocol, mut index, newer) = snapshot_after(20, 2);
+        let (protocol, newer) = snapshot_after(20, 2);
         let older = {
             let mut protocol = arm(2);
             for s in 0..5 {
                 protocol.step(Step::new(s));
             }
-            MapSnapshot::capture(protocol.as_ref(), &mut RouteIndex::new(40), Step::new(5))
+            MapSnapshot::capture(protocol.as_ref(), Step::new(5))
         };
         let cell = SnapshotCell::new(newer);
         let err = cell.publish(older).unwrap_err();
         assert!(err.contains("non-monotone"), "{err}");
         // The published view is untouched and a same-step republish is fine.
         assert_eq!(cell.load().header().step, 20);
-        let same = MapSnapshot::capture(protocol.as_ref(), &mut index, Step::new(20));
+        let same = MapSnapshot::capture(protocol.as_ref(), Step::new(20));
         assert!(cell.publish(same).is_ok());
     }
 }

@@ -124,7 +124,7 @@ pub fn error_reply(id: u64, msg: &str) -> String {
 mod tests {
     use super::*;
     use agentnet_baselines::zoo::{build_protocol, ZooParams};
-    use agentnet_core::routing::{ProtocolKind, RouteIndex};
+    use agentnet_core::routing::ProtocolKind;
     use agentnet_engine::Step;
     use agentnet_radio::NetworkBuilder;
 
@@ -135,7 +135,7 @@ mod tests {
         for s in 0..60 {
             protocol.step(Step::new(s));
         }
-        MapSnapshot::capture(protocol.as_ref(), &mut RouteIndex::new(40), Step::new(60))
+        MapSnapshot::capture(protocol.as_ref(), Step::new(60))
     }
 
     #[test]

@@ -41,7 +41,6 @@ use agentnet_core::validate::{mapping_invariants, routing_invariants};
 use agentnet_engine::invariant::{invariant_fn, InvariantSet, InvariantViolation};
 use agentnet_engine::table::Table;
 use agentnet_engine::{Executor, ResultCache, SeedSequence, Step, TimeStepSim};
-use agentnet_graph::connectivity::reaches_any;
 use agentnet_graph::generators::{erdos_renyi, grid, GeometricConfig};
 use agentnet_graph::geometry::{Point2, Rect};
 use agentnet_graph::paths::{bfs_distances, diameter, hop_distance};
@@ -907,26 +906,6 @@ fn check_zoo_claims(kind: ProtocolKind, seed: u64) -> CheckResult {
     )
 }
 
-/// The reachability set one arm's tables induce: exactly the forwarding
-/// semantics of [`agentnet_core::routing::chain_connectivity`], kept as
-/// the per-node vector instead of its mean.
-fn reachable_set(arm: &dyn RoutingProtocol) -> Vec<bool> {
-    let links = arm.network().links();
-    let mut forwarding = DiGraph::new(arm.network().node_count());
-    for (v, table) in arm.tables().iter().enumerate() {
-        let from = NodeId::new(v);
-        if arm.network().gateways().contains(&from) {
-            continue;
-        }
-        for next in table.next_hops() {
-            if links.has_edge(from, next) {
-                forwarding.add_edge(from, next);
-            }
-        }
-    }
-    reaches_any(&forwarding, arm.live_gateways())
-}
-
 /// Cross-arm metamorphic relation: on a small dense *static* topology
 /// with generous budgets (no route loss to mobility, TTLs outlasting the
 /// run, an unthrottled copy budget), every arm must converge to the
@@ -998,7 +977,7 @@ fn check_zoo_static_reachability(seed: u64) -> CheckResult {
     let mut sets: Vec<(ProtocolKind, Vec<bool>)> = Vec::with_capacity(arms.len());
     for (kind, arm) in &mut arms {
         let _ = arm.run(steps);
-        sets.push((*kind, reachable_set(arm.as_ref())));
+        sets.push((*kind, arm.reached_from_scratch()));
     }
     let (ref_kind, reference) = &sets[0];
     for (kind, set) in &sets[1..] {

@@ -15,7 +15,7 @@
 //! ```
 
 use agentnet::core::policy::RoutingPolicy;
-use agentnet::core::routing::{RoutingConfig, RoutingSim};
+use agentnet::core::routing::{RoutingConfig, RoutingProtocol, RoutingSim};
 use agentnet::engine::plot::sparkline;
 use agentnet::engine::table::Table;
 use agentnet::radio::NetworkBuilder;

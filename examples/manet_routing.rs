@@ -11,7 +11,7 @@
 //! ```
 
 use agentnet::core::policy::RoutingPolicy;
-use agentnet::core::routing::{RoutingConfig, RoutingSim};
+use agentnet::core::routing::{RoutingConfig, RoutingProtocol, RoutingSim};
 use agentnet::engine::rng::SeedSequence;
 use agentnet::engine::table::Table;
 use agentnet::engine::{Executor, Summary};

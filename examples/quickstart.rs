@@ -8,7 +8,7 @@
 
 use agentnet::core::mapping::{MappingConfig, MappingSim};
 use agentnet::core::policy::{MappingPolicy, RoutingPolicy};
-use agentnet::core::routing::{RoutingConfig, RoutingSim};
+use agentnet::core::routing::{RoutingConfig, RoutingProtocol, RoutingSim};
 use agentnet::graph::generators::GeometricConfig;
 use agentnet::radio::NetworkBuilder;
 

@@ -13,7 +13,7 @@
 
 use agentnet::core::mapping::{MappingConfig, MappingSim};
 use agentnet::core::policy::{MappingPolicy, RoutingPolicy};
-use agentnet::core::routing::{RoutingConfig, RoutingSim};
+use agentnet::core::routing::{RoutingConfig, RoutingProtocol, RoutingSim};
 use agentnet::engine::rng::SeedSequence;
 use agentnet::engine::table::Table;
 use agentnet::engine::{Executor, Summary};

@@ -3,7 +3,7 @@
 //! never exceed the instantaneous graph reachability of the gateways.
 
 use agentnet::core::policy::RoutingPolicy;
-use agentnet::core::routing::{RoutingConfig, RoutingSim};
+use agentnet::core::routing::{RoutingConfig, RoutingProtocol, RoutingSim};
 use agentnet::engine::rng::SeedSequence;
 use agentnet::engine::sim::{Step, TimeStepSim};
 use agentnet::engine::Executor;
