@@ -22,7 +22,7 @@
 //!   overhead, slower spread.
 //!
 //! Protocol-zoo boundaries
-//! ([`RoutingProtocol`](agentnet_core::routing::RoutingProtocol)):
+//! ([`RoutingProtocol`]):
 //! * **Construction** — hearing a strictly fresher (or equal-sequence,
 //!   fewer-hop) announcement installs `RouteEntry { gateway, next_hop:
 //!   sender, hops }`.

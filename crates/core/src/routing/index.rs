@@ -11,9 +11,11 @@
 //! deltas instead of rebuilding it each step:
 //!
 //! * a table write dirties only the written node;
-//! * a link-topology change (detected through
-//!   [`WirelessNetwork::topology_version`]) forces a full resync, since
-//!   any entry's liveness may have flipped;
+//! * a link-topology change dirties only the nodes whose out-row
+//!   changed ([`WirelessNetwork::rows_changed_since`]), since a
+//!   forwarding row depends on nothing but its node's table and its
+//!   node's own links; a book more than one topology bump behind
+//!   resyncs in full;
 //! * the connectivity metric is a reverse BFS from the live gateways over
 //!   the persistent graph's in-edges, using reusable scratch.
 //!
@@ -146,7 +148,7 @@ impl RouteBook {
     /// Brings the index in sync with the tables and `net`'s links and
     /// returns the connected fraction.
     fn sync(&mut self, net: &WirelessNetwork) -> f64 {
-        self.index.refresh(&self.tables, net.links(), &self.is_gateway, net.topology_version());
+        self.index.refresh(&self.tables, net, &self.is_gateway);
         self.index.connected_fraction(&self.live_gateways)
     }
 }
@@ -166,8 +168,8 @@ struct RouteIndex {
     /// Indices of dirty nodes, deduplicated via `dirty`.
     dirty_list: Vec<usize>,
     /// Link-topology version the forwarding graph was synced against;
-    /// `u64::MAX` forces a full resync on first refresh.
-    topo_version: u64,
+    /// `None` until the first (full) sync.
+    topo_version: Option<u64>,
     /// Reverse-BFS visited flags.
     reached: Vec<bool>,
     /// Reverse-BFS frontier (index-addressed queue).
@@ -183,7 +185,7 @@ impl RouteIndex {
             forwarding: DiGraph::new(n),
             dirty: vec![false; n],
             dirty_list: Vec::new(),
-            topo_version: u64::MAX,
+            topo_version: None,
             reached: vec![false; n],
             queue: Vec::new(),
             old_row: Vec::new(),
@@ -203,21 +205,19 @@ impl RouteIndex {
         }
     }
 
-    /// Brings the forwarding graph in sync with `tables` + `links`.
+    /// Brings the forwarding graph in sync with `tables` and `net`'s
+    /// links.
     ///
-    /// If `net_version` differs from the last synced version the whole
-    /// graph is rebuilt (any link may have flipped); otherwise only the
-    /// rows of nodes marked dirty since the last refresh are rewritten.
+    /// The rows rewritten are those marked dirty since the last refresh
+    /// plus those whose out-row the network changed since the synced
+    /// version. When the network cannot name those rows (first sync, or
+    /// more than one topology bump behind) the whole graph is rebuilt.
     #[agentnet::hot_path]
-    fn refresh(
-        &mut self,
-        tables: &[RoutingTable],
-        links: &DiGraph,
-        is_gateway: &[bool],
-        net_version: u64,
-    ) {
-        if net_version != self.topo_version {
-            self.topo_version = net_version;
+    fn refresh(&mut self, tables: &[RoutingTable], net: &WirelessNetwork, is_gateway: &[bool]) {
+        let links = net.links();
+        let changed = self.topo_version.and_then(|v| net.rows_changed_since(v));
+        self.topo_version = Some(net.topology_version());
+        let Some(changed) = changed else {
             for flag in &mut self.dirty {
                 *flag = false;
             }
@@ -227,6 +227,9 @@ impl RouteIndex {
                 self.write_row(v, tables, links, is_gateway);
             }
             return;
+        };
+        for &v in changed {
+            self.mark_dirty(v);
         }
         let mut list = std::mem::take(&mut self.dirty_list);
         for &v in &list {
@@ -329,82 +332,117 @@ impl RouteIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agentnet_graph::geometry::{Point2, Rect};
+    use agentnet_radio::{BatteryModel, BatteryState, Motion, NodeKind, WirelessNode};
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
     }
 
-    /// Line 3 <- 2 <- 1 <- 0(gateway) of live links, tables pointing back.
-    fn fixture() -> (Vec<RoutingTable>, DiGraph, Vec<bool>) {
-        let mut links = DiGraph::new(4);
-        for v in 1..4 {
-            links.add_edge(n(v), n(v - 1));
-            links.add_edge(n(v - 1), n(v));
-        }
+    /// Line 0(gateway) - 1 - 2 - 3 of stationary mains radios 10 m apart
+    /// with 12 m range, so each neighbour pair is linked both ways, and
+    /// tables pointing every node back toward the gateway.
+    fn fixture() -> (Vec<RoutingTable>, WirelessNetwork, Vec<bool>) {
+        let nodes = (0..4)
+            .map(|v| WirelessNode {
+                id: n(v),
+                position: Point2::new(10.0 * v as f64, 0.0),
+                nominal_range: 12.0,
+                kind: if v == 0 { NodeKind::Gateway } else { NodeKind::Stationary },
+                battery: BatteryState::mains(),
+                motion: Motion::Stationary,
+            })
+            .collect();
+        let net = WirelessNetwork::from_nodes(Rect::square(100.0), nodes, 1);
         let mut tables = vec![RoutingTable::new(); 4];
         for (v, table) in tables.iter_mut().enumerate().skip(1) {
             table.install(RouteEntry::new(n(0), n(v - 1), v as u32, Step::ZERO));
         }
         let mut is_gateway = vec![false; 4];
         is_gateway[0] = true;
-        (tables, links, is_gateway)
+        (tables, net, is_gateway)
+    }
+
+    /// Silences `v`'s radio; its own out-row is the only one that changes.
+    fn drain(net: &mut WirelessNetwork, v: usize) {
+        net.node_mut(n(v)).battery = BatteryState::with_charge(BatteryModel::Mains, 0.0);
+        net.refresh_links();
     }
 
     #[test]
     fn full_resync_then_incremental_updates_agree() {
-        let (mut tables, links, is_gateway) = fixture();
+        let (mut tables, net, is_gateway) = fixture();
         let mut idx = RouteIndex::new(4);
-        idx.refresh(&tables, &links, &is_gateway, 0);
+        idx.refresh(&tables, &net, &is_gateway);
         assert_eq!(idx.connected_fraction(&[n(0)]), 1.0);
 
         // Break node 2's route (point it off-link): only 0 and 1 remain.
         tables[2].install(RouteEntry::new(n(0), n(3), 2, Step::ZERO));
         idx.mark_dirty(n(2));
-        idx.refresh(&tables, &links, &is_gateway, 0);
+        idx.refresh(&tables, &net, &is_gateway);
         // 2 -> 3 is a live link but 3 -> 2 -> 3 never reaches the gateway.
         assert_eq!(idx.connected_fraction(&[n(0)]), 0.5);
 
         // Repair it; incremental update restores full connectivity.
         tables[2].install(RouteEntry::new(n(0), n(1), 2, Step::ZERO));
         idx.mark_dirty(n(2));
-        idx.refresh(&tables, &links, &is_gateway, 0);
+        idx.refresh(&tables, &net, &is_gateway);
         assert_eq!(idx.connected_fraction(&[n(0)]), 1.0);
     }
 
     #[test]
-    fn topology_version_change_forces_full_resync() {
-        let (tables, mut links, is_gateway) = fixture();
+    fn changed_rows_are_revalidated_without_a_dirty_mark() {
+        let (tables, mut net, is_gateway) = fixture();
         let mut idx = RouteIndex::new(4);
-        idx.refresh(&tables, &links, &is_gateway, 0);
+        idx.refresh(&tables, &net, &is_gateway);
         assert_eq!(idx.connected_fraction(&[n(0)]), 1.0);
-        // The 1 -> 0 link dies; without a dirty mark only the version
-        // bump can catch it.
-        links.remove_edge(n(1), n(0));
-        idx.refresh(&tables, &links, &is_gateway, 1);
+        // The 1 -> 0 link dies with node 1's radio; only the network's
+        // changed-row record can tell the index.
+        let synced = net.topology_version();
+        drain(&mut net, 1);
+        assert_eq!(net.rows_changed_since(synced), Some(&[n(1)][..]));
+        idx.refresh(&tables, &net, &is_gateway);
         assert_eq!(idx.connected_fraction(&[n(0)]), 0.25);
     }
 
     #[test]
-    fn no_live_gateways_means_no_connectivity() {
-        let (tables, links, is_gateway) = fixture();
+    fn two_bumps_behind_resyncs_in_full() {
+        let (tables, mut net, is_gateway) = fixture();
         let mut idx = RouteIndex::new(4);
-        idx.refresh(&tables, &links, &is_gateway, 0);
+        idx.refresh(&tables, &net, &is_gateway);
+        let synced = net.topology_version();
+        drain(&mut net, 3);
+        drain(&mut net, 1);
+        assert_eq!(net.rows_changed_since(synced), None);
+        idx.refresh(&tables, &net, &is_gateway);
+        assert_eq!(idx.connected_fraction(&[n(0)]), 0.25);
+        let mut fresh = RouteIndex::new(4);
+        fresh.refresh(&tables, &net, &is_gateway);
+        assert_eq!(fresh.connected_fraction(&[n(0)]), 0.25);
+        assert_eq!(idx.forwarding, fresh.forwarding);
+    }
+
+    #[test]
+    fn no_live_gateways_means_no_connectivity() {
+        let (tables, net, is_gateway) = fixture();
+        let mut idx = RouteIndex::new(4);
+        idx.refresh(&tables, &net, &is_gateway);
         assert_eq!(idx.connected_fraction(&[]), 0.0);
     }
 
     #[test]
     fn reached_flags_match_the_reported_fraction() {
-        let (mut tables, links, is_gateway) = fixture();
+        let (mut tables, net, is_gateway) = fixture();
         let mut idx = RouteIndex::new(4);
         assert_eq!(idx.reached(), &[false; 4], "flags are clear before any BFS");
-        idx.refresh(&tables, &links, &is_gateway, 0);
+        idx.refresh(&tables, &net, &is_gateway);
         assert_eq!(idx.connected_fraction(&[n(0)]), 1.0);
         assert_eq!(idx.reached(), &[true; 4]);
 
         // Break node 2's chain: 2 and 3 drop out of the reached set.
         tables[2].install(RouteEntry::new(n(0), n(3), 2, Step::ZERO));
         idx.mark_dirty(n(2));
-        idx.refresh(&tables, &links, &is_gateway, 0);
+        idx.refresh(&tables, &net, &is_gateway);
         let fraction = idx.connected_fraction(&[n(0)]);
         let count = idx.reached().iter().filter(|&&ok| ok).count();
         assert_eq!(fraction, count as f64 / 4.0);
@@ -413,9 +451,9 @@ mod tests {
 
     #[test]
     fn duplicate_gateways_count_once() {
-        let (tables, links, is_gateway) = fixture();
+        let (tables, net, is_gateway) = fixture();
         let mut idx = RouteIndex::new(4);
-        idx.refresh(&tables, &links, &is_gateway, 0);
+        idx.refresh(&tables, &net, &is_gateway);
         assert_eq!(idx.connected_fraction(&[n(0), n(0)]), 1.0);
     }
 }

@@ -12,7 +12,7 @@
 //!    parties are co-located or within radio range
 //!    ([`ProtocolKind::meeting_state`] documents each arm).
 //! 3. **Per-step decay** — how stale state leaves the system: route
-//!    eviction by [`RouteEntry::age`], pheromone evaporation, footprint
+//!    eviction by [`RouteEntry::age`](crate::routing::RouteEntry::age), pheromone evaporation, footprint
 //!    windows, or announcement sequence supersession.
 //!
 //! Every arm steps the *same* [`agentnet_radio::WirelessNetwork`] under

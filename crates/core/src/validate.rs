@@ -21,7 +21,9 @@ use agentnet_engine::invariant::{Invariant, InvariantSet};
 use agentnet_engine::sim::{Step, TimeStepSim};
 use agentnet_graph::connectivity::fraction_reaching;
 use agentnet_graph::NodeId;
-use agentnet_radio::invariants::{BatteryMonotone, LinksWellFormed, SymmetricWhenHomogeneous};
+use agentnet_radio::invariants::{
+    BatteryMonotone, LinksMatchGeometry, LinksWellFormed, SymmetricWhenHomogeneous,
+};
 use agentnet_radio::WirelessNetwork;
 
 /// Tolerance for floating-point fraction comparisons.
@@ -453,6 +455,7 @@ pub fn routing_invariants() -> InvariantSet<RoutingSim> {
     set.register(RoutingIndexMatchesReference);
     set.register(OverNetwork(BatteryMonotone::new()));
     set.register(OverNetwork(LinksWellFormed));
+    set.register(OverNetwork(LinksMatchGeometry::default()));
     set.register(OverNetwork(SymmetricWhenHomogeneous));
     set
 }
@@ -515,7 +518,7 @@ mod tests {
             RoutingConfig::new(RoutingPolicy::OldestNode, 12).communication(true).stigmergic(true);
         let mut sim = RoutingSim::new(net, cfg, 7).unwrap();
         let mut checks = routing_invariants();
-        assert_eq!(checks.len(), 8);
+        assert_eq!(checks.len(), 9);
         sim.run_checked(80, &mut checks).expect("no violations");
     }
 

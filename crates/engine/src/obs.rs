@@ -43,9 +43,30 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Default histogram buckets for durations measured in microseconds:
-/// decades from 10µs to 10s. Spans land here.
-pub const DURATION_MICROS_BUCKETS: &[f64] =
-    &[10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0, 10_000_000.0];
+/// 1-2-5 steps per decade from 10µs to 10s, so an interpolated quantile
+/// can tell a 2× change apart. Spans land here — once per step, cell or
+/// replicate, never per query.
+pub const DURATION_MICROS_BUCKETS: &[f64] = &[
+    10.0,
+    20.0,
+    50.0,
+    100.0,
+    200.0,
+    500.0,
+    1_000.0,
+    2_000.0,
+    5_000.0,
+    10_000.0,
+    20_000.0,
+    50_000.0,
+    100_000.0,
+    200_000.0,
+    500_000.0,
+    1_000_000.0,
+    2_000_000.0,
+    5_000_000.0,
+    10_000_000.0,
+];
 
 /// A fixed-bucket histogram: counts per upper bound (a final implicit
 /// `+Inf` bucket catches the rest), plus the sum and count of all

@@ -287,6 +287,7 @@ fn observe_network(m: &Metrics, net: &WirelessNetwork) {
     m.counter_add("radio_battery_decay_steps_total", s.battery_decay_steps);
     m.counter_add("radio_grid_cell_clamps_total", s.grid_cell_clamps);
     m.counter_add("radio_grid_incremental_total", s.grid_incremental_updates);
+    m.counter_add("radio_link_delta_total", s.link_delta_updates);
     // Gauge, not counter: the shard count is configuration. A nonzero
     // clamp counter or an unexpected shard gauge in a repro artifact
     // flags a run whose spatial index degraded or whose parallelism

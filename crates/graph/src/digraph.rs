@@ -135,43 +135,43 @@ impl DiGraph {
         self.edge_count = 0;
     }
 
-    /// Replaces the entire edge set from per-source sorted out-neighbour
-    /// rows, reusing adjacency storage — the bulk counterpart of
-    /// repeated [`DiGraph::add_edge`] calls for callers (like the
-    /// sharded link rebuild) that already produced each node's
-    /// out-list. Walking the rows in ascending source order makes every
-    /// rebuilt in-list come out sorted without any binary search: one
-    /// `O(E)` pass instead of `O(E log d)`.
+    /// Builds a graph from per-source sorted out-neighbour rows, taking
+    /// `rows` as its out-lists — the bulk counterpart of repeated
+    /// [`DiGraph::add_edge`] calls for callers (like the wireless
+    /// network's initial link derivation) that already produced each
+    /// node's out-list. No row is copied; walking the rows in ascending
+    /// source order makes every in-list come out sorted without any
+    /// binary search, each allocated at its exact degree: one `O(E)`
+    /// pass instead of `O(E log d)`.
     ///
     /// `rows[i]` must be strictly sorted by id, free of self-loops, and
-    /// reference only nodes `< node_count()`.
+    /// reference only nodes `< rows.len()`.
     ///
     /// # Panics
     ///
-    /// Panics if `rows.len() != node_count()` or a row references an
-    /// out-of-range node; row ordering and self-loop freedom are
-    /// debug-asserted.
-    pub fn set_sorted_out_rows(&mut self, rows: &[Vec<NodeId>]) {
-        assert_eq!(rows.len(), self.out.len(), "row count must match node count");
-        for l in &mut self.inn {
-            l.clear();
-        }
-        let mut count = 0usize;
-        for (out, row) in self.out.iter_mut().zip(rows) {
+    /// Panics if a row references an out-of-range node; row ordering and
+    /// self-loop freedom are debug-asserted.
+    pub fn from_sorted_out_rows(rows: Vec<Vec<NodeId>>) -> Self {
+        let n = rows.len();
+        let mut in_degree = vec![0usize; n];
+        let mut edge_count = 0usize;
+        for row in &rows {
             debug_assert!(row.windows(2).all(|w| w[0] < w[1]), "out rows must be strictly sorted");
-            out.clear();
-            out.extend_from_slice(row);
-            count += row.len();
+            for &to in row {
+                assert!(to.index() < n, "edge target {to} out of range");
+                in_degree[to.index()] += 1;
+            }
+            edge_count += row.len();
         }
+        let mut inn: Vec<Vec<NodeId>> = in_degree.iter().map(|&d| Vec::with_capacity(d)).collect();
         for (i, row) in rows.iter().enumerate() {
             let from = NodeId::new(i);
             for &to in row {
                 debug_assert_ne!(from, to, "self-loops are not representable");
-                assert!(to.index() < self.out.len(), "edge target {to} out of range");
-                self.inn[to.index()].push(from);
+                inn[to.index()].push(from);
             }
         }
-        self.edge_count = count;
+        DiGraph { out: rows, inn, edge_count }
     }
 
     /// Returns `true` if the edge `from -> to` exists.
@@ -471,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn set_sorted_out_rows_matches_incremental_build() {
+    fn from_sorted_out_rows_matches_incremental_build() {
         let edges = [(0, 3), (0, 1), (3, 0), (5, 1), (1, 2), (2, 1), (4, 2)];
         let mut incremental = DiGraph::new(6);
         let mut rows: Vec<Vec<NodeId>> = vec![Vec::new(); 6];
@@ -482,36 +482,23 @@ mod tests {
         for row in &mut rows {
             row.sort_unstable();
         }
-        let mut bulk = DiGraph::new(6);
-        // Pre-populate with garbage to prove the rows replace, not merge.
-        bulk.add_edge(n(2), n(5));
-        bulk.set_sorted_out_rows(&rows);
+        let bulk = DiGraph::from_sorted_out_rows(rows);
         assert_eq!(bulk, incremental);
         assert_eq!(bulk.check_consistency(), Ok(()));
         assert_eq!(bulk.edge_count(), edges.len());
     }
 
     #[test]
-    fn set_sorted_out_rows_clears_on_empty_rows() {
-        let mut g = DiGraph::new(3);
-        g.add_edge(n(0), n(1));
-        g.set_sorted_out_rows(&[Vec::new(), Vec::new(), Vec::new()]);
-        assert_eq!(g.edge_count(), 0);
+    fn from_sorted_out_rows_of_empty_rows_has_no_edges() {
+        let g = DiGraph::from_sorted_out_rows(vec![Vec::new(); 3]);
+        assert_eq!(g, DiGraph::new(3));
         assert_eq!(g.check_consistency(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "row count")]
-    fn set_sorted_out_rows_rejects_wrong_row_count() {
-        let mut g = DiGraph::new(3);
-        g.set_sorted_out_rows(&[Vec::new()]);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
-    fn set_sorted_out_rows_rejects_out_of_range_target() {
-        let mut g = DiGraph::new(2);
-        g.set_sorted_out_rows(&[vec![n(7)], Vec::new()]);
+    fn from_sorted_out_rows_rejects_out_of_range_target() {
+        let _ = DiGraph::from_sorted_out_rows(vec![vec![n(7)], Vec::new()]);
     }
 
     #[test]

@@ -128,7 +128,12 @@ impl GeometricConfig {
             let range_factors: Vec<f64> =
                 (0..self.nodes).map(|_| rng.random_range(1.0 - h..=1.0 + h)).collect();
 
-            let base = self.calibrate_base_range(&positions, &range_factors);
+            let base = calibrate_base_range(
+                &positions,
+                self.target_edges,
+                self.arena.diagonal(),
+                |i, base| base * range_factors[i],
+            );
             let graph = build_geometric_graph(&positions, &range_factors, base);
             let within = (graph.edge_count() as i64 - self.target_edges as i64).unsigned_abs()
                 as usize
@@ -150,23 +155,6 @@ impl GeometricConfig {
                 self.max_retries
             ),
         })
-    }
-
-    /// Bisects the base radio range until the edge count straddles the
-    /// target, then returns the midpoint.
-    fn calibrate_base_range(&self, positions: &[Point2], factors: &[f64]) -> f64 {
-        let mut lo = 0.0f64;
-        let mut hi = self.arena.diagonal();
-        for _ in 0..48 {
-            let mid = 0.5 * (lo + hi);
-            let edges = count_geometric_edges(positions, factors, mid);
-            if edges < self.target_edges {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
     }
 }
 
@@ -192,18 +180,69 @@ impl GeometricNetwork {
     }
 }
 
-fn count_geometric_edges(positions: &[Point2], factors: &[f64], base: f64) -> usize {
-    let mut count = 0;
+/// Bisects a base radio range over `[0, hi]` so that the directed edge
+/// count of the induced disc graph straddles `target`: 48 halvings,
+/// returning the final midpoint. Node `i` at base `b` links to every
+/// other node within `radius(i, b)`; both [`GeometricConfig`] and the
+/// radio crate's network builder calibrate through this function.
+///
+/// Every pair's squared distance is computed once, and each step
+/// re-tests only the pairs the bracket still leaves open. `radius` must
+/// be non-decreasing in the base (callers scale it by positive
+/// factors), so a pair inside at `lo` stays inside at every larger base
+/// and a pair outside at `hi` stays outside at every smaller one. Each
+/// test is the same `d² <= r²` comparison a full count makes, so the
+/// result is bit-identical to counting all `n(n-1)` pairs at every
+/// step. Memory is `O(n²)`; large networks pin their range instead.
+pub fn calibrate_base_range(
+    positions: &[Point2],
+    target: usize,
+    hi: f64,
+    radius: impl Fn(usize, f64) -> f64,
+) -> f64 {
+    let n = positions.len();
+    let pairs = n * n.saturating_sub(1);
+    let mut dist_sq = Vec::with_capacity(pairs);
+    let mut source = Vec::with_capacity(pairs);
     for (i, &pi) in positions.iter().enumerate() {
-        let r = base * factors[i];
-        let r2 = r * r;
         for (j, &pj) in positions.iter().enumerate() {
-            if i != j && pi.distance_sq(pj) <= r2 {
-                count += 1;
+            if i != j {
+                dist_sq.push(pi.distance_sq(pj));
+                source.push(NodeId::new(i));
             }
         }
     }
-    count
+    let mut r_sq = vec![0.0f64; n];
+    // Pairs `start..end` are undecided; `inside` counts those known to
+    // be inside at `lo`, hence at every base the bisection still tries.
+    let (mut lo, mut hi) = (0.0f64, hi);
+    let (mut start, mut end) = (0usize, pairs);
+    let mut inside = 0usize;
+    for _ in 0..48 {
+        let mid = 0.5 * (lo + hi);
+        for (i, r2) in r_sq.iter_mut().enumerate() {
+            let r = radius(i, mid);
+            *r2 = r * r;
+        }
+        // Partition the undecided pairs: those inside at `mid` first.
+        let mut split = start;
+        for k in start..end {
+            if dist_sq[k] <= r_sq[source[k].index()] {
+                dist_sq.swap(split, k);
+                source.swap(split, k);
+                split += 1;
+            }
+        }
+        if inside + (split - start) < target {
+            lo = mid;
+            inside += split - start;
+            start = split;
+        } else {
+            hi = mid;
+            end = split;
+        }
+    }
+    0.5 * (lo + hi)
 }
 
 fn build_geometric_graph(positions: &[Point2], factors: &[f64], base: f64) -> DiGraph {

@@ -3,8 +3,8 @@
 //! The paper's networks are *directed* graphs: every wireless node has its own
 //! radio range, so node `A` may hear `B` while `B` cannot hear `A`. This crate
 //! provides the graph data structure and algorithms that both the wireless
-//! substrate ([`agentnet-radio`]) and the agent simulations
-//! ([`agentnet-core`]) are built on:
+//! substrate (`agentnet-radio`) and the agent simulations
+//! (`agentnet-core`) are built on:
 //!
 //! * [`DiGraph`] — a compact adjacency-list directed graph over dense
 //!   [`NodeId`]s, with both out- and in-neighbour access.

@@ -3,7 +3,8 @@
 use agentnet_graph::connectivity::{
     is_strongly_connected, reaches_any, strongly_connected_components,
 };
-use agentnet_graph::generators::erdos_renyi;
+use agentnet_graph::generators::{calibrate_base_range, erdos_renyi};
+use agentnet_graph::geometry::{Point2, Rect};
 use agentnet_graph::paths::{bfs_distances, hop_distance, is_live_path, shortest_path};
 use agentnet_graph::{DiGraph, NodeId};
 use proptest::prelude::*;
@@ -22,7 +23,69 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = DiGraph> {
     })
 }
 
+/// The calibration both generators ran before it was pruned: 48
+/// bisection steps, each counting all `n(n-1)` pairs. Kept as the
+/// reference the pruned [`calibrate_base_range`] must match bit for bit.
+fn full_count_calibration(
+    positions: &[Point2],
+    target: usize,
+    hi: f64,
+    radius: impl Fn(usize, f64) -> f64,
+) -> f64 {
+    let (mut lo, mut hi) = (0.0f64, hi);
+    for _ in 0..48 {
+        let mid = 0.5 * (lo + hi);
+        let mut edges = 0usize;
+        for (i, &pi) in positions.iter().enumerate() {
+            let r = radius(i, mid);
+            let r2 = r * r;
+            for (j, &pj) in positions.iter().enumerate() {
+                if i != j && pi.distance_sq(pj) <= r2 {
+                    edges += 1;
+                }
+            }
+        }
+        if edges < target {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    0.5 * (lo + hi)
+}
+
 proptest! {
+    /// Over random placements (with coincident points), heterogeneous
+    /// factors, a boost on some nodes as the radio builder applies to
+    /// gateways, and targets across the whole pair range, the pruned
+    /// bisection returns exactly the full count's base range.
+    #[test]
+    fn pruned_calibration_is_bit_identical_to_the_full_count(
+        nodes in proptest::collection::vec(
+            (0.0f64..1000.0, 0.0f64..1000.0, 0.75f64..1.25, 0usize..6),
+            2..50,
+        ),
+        target_fraction in 0.0f64..1.0,
+        coincide in 0usize..3,
+    ) {
+        let mut positions: Vec<Point2> =
+            nodes.iter().map(|&(x, y, _, _)| Point2::new(x, y)).collect();
+        if coincide == 0 {
+            positions[1] = positions[0];
+        }
+        let n = positions.len();
+        let pairs = n * (n - 1);
+        let target = ((pairs as f64 * target_fraction) as usize).clamp(1, pairs);
+        let radius = |i: usize, base: f64| {
+            let (_, _, factor, role) = nodes[i];
+            base * factor * if role == 0 { 1.5 } else { 1.0 }
+        };
+        let hi = Rect::square(1000.0).diagonal();
+        let pruned = calibrate_base_range(&positions, target, hi, radius);
+        let full = full_count_calibration(&positions, target, hi, radius);
+        prop_assert_eq!(pruned.to_bits(), full.to_bits());
+    }
+
     #[test]
     fn edge_count_matches_edges_iterator(g in arb_graph(12)) {
         prop_assert_eq!(g.edge_count(), g.edges().count());

@@ -4,6 +4,7 @@ use crate::battery::{BatteryModel, BatteryState};
 use crate::mobility::{MobilityKind, Motion};
 use crate::network::WirelessNetwork;
 use crate::node::{NodeKind, WirelessNode};
+use agentnet_graph::generators::calibrate_base_range;
 use agentnet_graph::geometry::{Point2, Rect};
 use agentnet_graph::NodeId;
 use rand::rngs::StdRng;
@@ -358,7 +359,9 @@ impl NetworkBuilder {
         let base = if let Some(pinned) = self.base_range {
             pinned
         } else if n > 1 {
-            calibrate_base_range(&positions, &factors, target_edges, self.arena, &boost)
+            calibrate_base_range(&positions, target_edges, self.arena.diagonal(), |i, mid| {
+                mid * factors[i] * boost(i)
+            })
         } else {
             1.0
         };
@@ -408,43 +411,15 @@ impl NetworkBuilder {
                 }
             })
             .collect();
-        let mut net = WirelessNetwork::from_nodes(self.arena, nodes, mobility_seed);
-        net.set_advance_shards(self.advance_shards);
+        let mut net = WirelessNetwork::from_nodes_sharded(
+            self.arena,
+            nodes,
+            mobility_seed,
+            self.advance_shards,
+        );
         net.set_grid_incremental(self.grid_incremental);
         net
     }
-}
-
-/// Bisects the base range so the induced directed edge count straddles
-/// `target`.
-fn calibrate_base_range(
-    positions: &[Point2],
-    factors: &[f64],
-    target: usize,
-    arena: Rect,
-    boost: &dyn Fn(usize) -> f64,
-) -> f64 {
-    let mut lo = 0.0f64;
-    let mut hi = arena.diagonal();
-    for _ in 0..48 {
-        let mid = 0.5 * (lo + hi);
-        let mut edges = 0usize;
-        for (i, &pi) in positions.iter().enumerate() {
-            let r = mid * factors[i] * boost(i);
-            let r2 = r * r;
-            for (j, &pj) in positions.iter().enumerate() {
-                if i != j && pi.distance_sq(pj) <= r2 {
-                    edges += 1;
-                }
-            }
-        }
-        if edges < target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
 }
 
 #[cfg(test)]

@@ -3,14 +3,17 @@
 //! These are [`Invariant`] implementations the simulation crates thread
 //! through checked runs (see `agentnet_engine::invariant`): battery
 //! charge must decay monotonically (and stay a valid fraction), the link
-//! digraph must stay internally consistent with no self-links, and a
-//! network whose nodes all share one effective radio range must produce
-//! a *symmetric* link graph — asymmetry can only come from heterogeneous
-//! ranges or battery skew.
+//! digraph must stay internally consistent with no self-links and equal
+//! to the disc rule over the current node state, and a network whose
+//! nodes all share one effective radio range must produce a *symmetric*
+//! link graph — asymmetry can only come from heterogeneous ranges or
+//! battery skew.
 
-use crate::WirelessNetwork;
+use crate::{SpatialGrid, WirelessNetwork};
 use agentnet_engine::invariant::{Invariant, InvariantSet};
 use agentnet_engine::Step;
+use agentnet_graph::geometry::Point2;
+use agentnet_graph::NodeId;
 
 /// Tolerance for floating-point charge/range comparisons.
 const EPS: f64 = 1e-9;
@@ -95,6 +98,51 @@ impl Invariant<WirelessNetwork> for LinksWellFormed {
     }
 }
 
+/// Every node's out-row is exactly the disc rule over the current node
+/// state: the other nodes inside its effective range. Each row is
+/// re-derived through a fresh [`SpatialGrid`] — one scratch row at a
+/// time, no second graph — and compared with
+/// [`WirelessNetwork::links`]. [`LinksWellFormed`] only proves the table
+/// internally consistent; this proves the in-place link edits left no
+/// row wrong.
+#[derive(Debug, Default)]
+pub struct LinksMatchGeometry {
+    row: Vec<NodeId>,
+}
+
+impl Invariant<WirelessNetwork> for LinksMatchGeometry {
+    fn name(&self) -> &'static str {
+        "radio-links-match-geometry"
+    }
+
+    fn check(&mut self, net: &WirelessNetwork, _now: Step) -> Result<(), String> {
+        let nodes = net.nodes();
+        let positions: Vec<Point2> = nodes.iter().map(|n| n.position).collect();
+        let max_range = nodes.iter().map(|n| n.effective_range()).fold(0.0f64, f64::max);
+        let grid = SpatialGrid::build(net.arena(), max_range.max(1e-9), &positions)
+            .map_err(|e| format!("cannot index the node positions: {e}"))?;
+        for node in &nodes {
+            let i = node.id.index();
+            self.row.clear();
+            self.row.extend(
+                grid.candidates_within(node.position, node.effective_range())
+                    .filter(|&j| j != i && node.covers(positions[j]))
+                    .map(NodeId::new),
+            );
+            self.row.sort_unstable();
+            let links = net.links().out_neighbors(node.id);
+            if self.row != links {
+                return Err(format!(
+                    "node {i} links to {links:?}, but its range {} covers {:?}",
+                    node.effective_range(),
+                    self.row
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// When every node currently has the same effective radio range, link
 /// coverage is mutual, so the link digraph must be symmetric. (With
 /// heterogeneous ranges one-way links are expected and nothing is
@@ -126,6 +174,7 @@ pub fn network_invariants() -> InvariantSet<WirelessNetwork> {
     let mut set = InvariantSet::new();
     set.register(BatteryMonotone::new());
     set.register(LinksWellFormed);
+    set.register(LinksMatchGeometry::default());
     set.register(SymmetricWhenHomogeneous);
     set
 }
@@ -141,7 +190,7 @@ mod tests {
         let mut net =
             NetworkBuilder::new(30).gateways(2).target_edges(200).build(7).expect("buildable");
         let mut checks = network_invariants();
-        assert_eq!(checks.len(), 3);
+        assert_eq!(checks.len(), 4);
         for s in 0..50 {
             net.advance();
             checks.check_all(&net, Step::new(s)).expect("healthy network");
@@ -161,6 +210,26 @@ mod tests {
         let mut check = SymmetricWhenHomogeneous;
         check.check(&net, Step::ZERO).expect("equal ranges imply symmetric links");
         assert!(net.links().is_symmetric());
+    }
+
+    #[test]
+    fn links_left_stale_by_an_out_of_band_move_fail_the_disc_rule() {
+        let mut net = NetworkBuilder::new(30)
+            .gateways(2)
+            .target_edges(200)
+            .mobile_fraction(0.0)
+            .build(7)
+            .expect("buildable");
+        let mut check = LinksMatchGeometry::default();
+        check.check(&net, Step::ZERO).expect("freshly derived links match");
+        // Move a linked node far away without refreshing: its own row
+        // and every row that covered it are now wrong.
+        let id = net.nodes().iter().find(|n| net.links().out_degree(n.id) > 0).unwrap().id;
+        net.node_mut(id).position = Point2::new(-500.0, -500.0);
+        let err = check.check(&net, Step::new(1)).unwrap_err();
+        assert!(err.contains("covers"), "{err}");
+        net.refresh_links();
+        check.check(&net, Step::new(2)).expect("refreshed links match again");
     }
 
     #[test]

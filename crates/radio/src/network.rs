@@ -50,12 +50,25 @@ pub struct NetStats {
     /// keeps stats serialized before this counter existed readable.
     #[serde(default)]
     pub grid_incremental_updates: u64,
+    /// Link rebuilds that edited the link table around the dirty nodes
+    /// (see [`LINK_DELTA_MAX_DIRTY`]) instead of re-deriving every row;
+    /// the rest took the fused full pass. `serde(default)` keeps stats
+    /// serialized before this counter existed readable.
+    #[serde(default)]
+    pub link_delta_updates: u64,
 }
 
 /// Largest fraction of nodes that may move in one step for the link
 /// rebuild to refresh the spatial grid incrementally; above it, moving
 /// nodes one-by-one loses to the sharded from-scratch re-index.
 pub const GRID_INCREMENTAL_MAX_MOVED: f64 = 0.05;
+
+/// Largest fraction of nodes that may be dirty (moved, or changed
+/// effective range) for the link rebuild to edit the link table around
+/// them; above it, one fused pass that re-derives every row and edits
+/// only the rows that differ is cheaper. Measured crossover: see the
+/// "Link maintenance in place" section of EXPERIMENTS.md.
+pub const LINK_DELTA_MAX_DIRTY: f64 = 0.15;
 
 /// A wireless ad-hoc network whose topology is re-derived from node
 /// positions, battery charge and radio ranges every step.
@@ -103,13 +116,16 @@ pub struct WirelessNetwork {
     snap_positions: Vec<Point2>,
     /// Effective radio ranges at the last link computation.
     snap_ranges: Vec<f64>,
-    /// Double buffer: links are rebuilt into this graph (reusing its edge
-    /// storage) and swapped in only when the topology actually changed.
-    scratch_links: DiGraph,
-    /// Per-node out-neighbour rows the rebuild derives (possibly across
-    /// shards in parallel) before the single ordered commit into
-    /// `scratch_links`; reused across rebuilds.
+    /// Per-node out-neighbour rows derived in full (possibly across
+    /// shards in parallel). Construction hands them to `links` as its
+    /// out-lists; the fused full pass refills them each time and edits
+    /// only the rows of `links` that differ.
     out_rows: Vec<Vec<NodeId>>,
+    /// Rows whose out-list changed in the topology bump that produced
+    /// `changed_version`, ascending — see [`Self::rows_changed_since`].
+    changed_rows: Vec<NodeId>,
+    /// The `topology_version` the `changed_rows` bump produced.
+    changed_version: u64,
     /// Number of contiguous column shards [`Self::advance`] steps in
     /// parallel; 1 (the default) runs the sequential in-place path.
     advance_shards: usize,
@@ -118,9 +134,18 @@ pub struct WirelessNetwork {
     /// links, `topology_version`, and every report — are byte-identical
     /// either way; only rebuild cost changes.
     grid_incremental: bool,
-    /// Reused scratch: indices of nodes that moved since the last link
-    /// computation, for the incremental grid path.
-    scratch_moved: Vec<usize>,
+    /// Scratch of the drift scan: ascending indices of nodes that moved
+    /// since the last link computation.
+    moved: Vec<usize>,
+    /// Scratch of the drift scan: ascending indices of nodes that moved
+    /// or whose effective range changed — the rows to re-derive.
+    dirty: Vec<usize>,
+    /// Per-node membership flags of `dirty` while the delta path runs.
+    is_dirty: Vec<bool>,
+    /// Per-shard scratch of the delta path, reused across rebuilds.
+    delta_shards: Vec<DeltaScratch>,
+    /// Reused scratch: pending link edits `(from, to, formed)`.
+    edits: Vec<(NodeId, NodeId, bool)>,
     /// Cumulative substrate event counters since construction.
     stats: NetStats,
 }
@@ -139,6 +164,18 @@ impl WirelessNetwork {
     /// if `arena` carries non-finite dimensions (possible only by
     /// mutating [`Rect`]'s public fields past its constructors).
     pub fn from_nodes(arena: Rect, nodes: Vec<WirelessNode>, mobility_seed: u64) -> Self {
+        Self::from_nodes_sharded(arena, nodes, mobility_seed, 1)
+    }
+
+    /// [`Self::from_nodes`] with [`Self::set_advance_shards`] applied
+    /// before the initial link derivation, so construction's grid index
+    /// and row derivation already run on `shards` shards.
+    pub(crate) fn from_nodes_sharded(
+        arena: Rect,
+        nodes: Vec<WirelessNode>,
+        mobility_seed: u64,
+        shards: usize,
+    ) -> Self {
         for (i, node) in nodes.iter().enumerate() {
             assert_eq!(node.id.index(), i, "node ids must be dense and ordered");
         }
@@ -155,7 +192,7 @@ impl WirelessNetwork {
             node_rngs: (0..n as u64)
                 .map(|i| SmallRng::seed_from_u64(seeds.child(i).seed()))
                 .collect(),
-            links: DiGraph::new(n),
+            links: DiGraph::new(0),
             gateways,
             now: Step::ZERO,
             topology_version: 0,
@@ -169,15 +206,20 @@ impl WirelessNetwork {
             },
             snap_positions: Vec::new(),
             snap_ranges: Vec::new(),
-            scratch_links: DiGraph::new(n),
             out_rows: Vec::new(),
-            advance_shards: 1,
+            changed_rows: Vec::new(),
+            changed_version: 0,
+            advance_shards: shards.max(1),
             grid_incremental: true,
-            scratch_moved: Vec::new(),
+            moved: Vec::new(),
+            dirty: Vec::new(),
+            is_dirty: vec![false; n],
+            delta_shards: Vec::new(),
+            edits: Vec::new(),
             stats: NetStats::default(),
         };
         if n > 0 {
-            net.rebuild_links();
+            net.install_initial_links();
         }
         // The initial link derivation is construction, not a simulated
         // event: stats start from zero.
@@ -290,6 +332,24 @@ impl WirelessNetwork {
         self.topology_version
     }
 
+    /// The rows whose out-list changed since `version`, for consumers
+    /// that revalidate per row: `Some(&[])` when `version` is current,
+    /// the ascending rows the last bump changed when `version` is
+    /// exactly one bump behind, and `None` otherwise (further behind,
+    /// ahead, or behind the construction-time bump) — the caller must
+    /// then treat every row as changed.
+    pub fn rows_changed_since(&self, version: u64) -> Option<&[NodeId]> {
+        if version == self.topology_version {
+            Some(&[])
+        } else if version.checked_add(1) == Some(self.topology_version)
+            && self.changed_version == self.topology_version
+        {
+            Some(&self.changed_rows)
+        } else {
+            None
+        }
+    }
+
     /// Cumulative substrate event counters since construction (steps,
     /// rebuilds, link flips, battery decay) — see [`NetStats`].
     pub fn stats(&self) -> NetStats {
@@ -330,33 +390,35 @@ impl WirelessNetwork {
     /// Advances the network one time step: batteries decay, mobile nodes
     /// move, and the link table is refreshed.
     ///
-    /// The refresh is incremental: if no node's position or effective
-    /// range changed since the last computation (the mapping study's
-    /// all-stationary mains networks, or any quiescent stretch), the link
-    /// table is kept as-is without touching the heap; otherwise the graph
-    /// is rebuilt into a reused double buffer and swapped in only when
-    /// the edge set actually differs. With [`Self::set_advance_shards`]
-    /// above 1 both the node step and the out-row derivation run on
-    /// contiguous column shards in parallel, followed by the same
-    /// ordered commit as the sequential path.
+    /// The refresh is proportional to change. One scan finds the nodes
+    /// that moved or whose effective range changed; if there are none
+    /// (the mapping study's all-stationary mains networks, or any
+    /// quiescent stretch), the link table is kept as-is without touching
+    /// the heap. Otherwise the rows around those nodes are edited in
+    /// place, or — when more than [`LINK_DELTA_MAX_DIRTY`] of the nodes
+    /// changed — one fused pass re-derives every row and edits only the
+    /// rows that differ. With [`Self::set_advance_shards`] above 1 the
+    /// node step, the grid re-index and the fused pass's row derivation
+    /// run on contiguous column shards in parallel; every edit is
+    /// applied sequentially in ascending row order.
     #[agentnet::hot_path]
     pub fn advance(&mut self) {
         self.stats.advances += 1;
         self.step_nodes();
-        if !self.positions.is_empty() && self.state_drifted() {
-            self.rebuild_links();
+        let max_range = self.scan_drift();
+        if !self.dirty.is_empty() {
+            self.rebuild_links(max_range);
         }
         self.now = self.now.next();
     }
 
-    /// Recomputes the link table from the current node state even if
-    /// nothing drifted — the forced counterpart of the incremental
-    /// refresh inside [`Self::advance`], for callers that mutated state
-    /// out of band and want links current without stepping time (and
-    /// for benchmarking the rebuild in isolation).
+    /// Brings the link table up to date with node state mutated out of
+    /// band (through [`Self::node_mut`]) without stepping time. Counts
+    /// as a link rebuild even when nothing changed.
     pub fn refresh_links(&mut self) {
         if !self.positions.is_empty() {
-            self.rebuild_links();
+            let max_range = self.scan_drift();
+            self.rebuild_links(max_range);
         }
     }
 
@@ -422,109 +484,127 @@ impl WirelessNetwork {
         decayed.iter().sum()
     }
 
-    /// `true` if any node's position or effective range differs from the
-    /// snapshot taken at the last link computation. Exact float equality
-    /// is correct here: stationary motion returns the position unchanged
-    /// and mains batteries never decay, so quiescent state is bitwise
-    /// stable.
+    /// Compares every node's position and effective range with the
+    /// snapshot of the last link computation, refreshing the snapshot as
+    /// it goes. Fills `moved` and `dirty` (ascending) and returns the
+    /// largest effective range — the grid's cell size. Exact float
+    /// equality is correct here: stationary motion returns the position
+    /// unchanged and mains batteries never decay, so quiescent state is
+    /// bitwise stable.
     #[agentnet::hot_path]
-    fn state_drifted(&self) -> bool {
-        self.positions.len() != self.snap_positions.len()
-            || self.positions.iter().zip(&self.snap_positions).any(|(a, b)| a != b)
-            || self
-                .nominal_ranges
-                .iter()
-                .zip(&self.batteries)
-                .zip(&self.snap_ranges)
-                .any(|((&nr, b), &r)| nr * b.range_factor() != r)
+    fn scan_drift(&mut self) -> f64 {
+        self.moved.clear();
+        self.dirty.clear();
+        let mut max_range = 0.0f64;
+        let columns = self
+            .positions
+            .iter()
+            .zip(&mut self.snap_positions)
+            .zip(self.nominal_ranges.iter().zip(&self.batteries))
+            .zip(&mut self.snap_ranges);
+        for (i, (((&p, snap_p), (&nr, b)), snap_r)) in columns.enumerate() {
+            let r = nr * b.range_factor();
+            max_range = max_range.max(r);
+            let moved = p != *snap_p;
+            if moved {
+                self.moved.push(i);
+                *snap_p = p;
+            }
+            if moved || r != *snap_r {
+                self.dirty.push(i);
+                *snap_r = r;
+            }
+        }
+        max_range.max(1e-9)
     }
 
-    /// Recomputes the link graph from current node state into the scratch
-    /// buffer (reusing grid buckets, out-row scratch and adjacency
-    /// storage), refreshes the drift snapshots, and swaps the result in
-    /// if the topology changed. The out-row derivation may fan out over
-    /// shards; everything from the row commit on is a single ordered
-    /// sequential phase, which is what keeps `topology_version` and the
-    /// stats byte-identical across shard counts.
-    #[agentnet::hot_path]
-    fn rebuild_links(&mut self) {
+    /// Derives the construction-time link table: snapshots every node,
+    /// indexes the grid and hands the derived rows to the graph as its
+    /// out-lists in one bulk install. Setup, not an event: the version
+    /// bumps iff any link exists, and no changed rows are recorded.
+    fn install_initial_links(&mut self) {
+        self.snap_positions.clone_from(&self.positions);
         self.snap_ranges.clear();
         self.snap_ranges.extend(
             self.nominal_ranges.iter().zip(&self.batteries).map(|(&nr, b)| nr * b.range_factor()),
         );
         let max_range = self.snap_ranges.iter().fold(0.0f64, |a, &b| a.max(b)).max(1e-9);
-        // Cell size of the max range keeps candidate sets tight while the
-        // 3x3 cell neighbourhood of a query still covers the whole disc.
-        //
-        // Incremental path: when few nodes moved since the last link
-        // computation (diffed against the still-unrefreshed snapshot),
-        // the grid moves just those nodes between cells. The grid
-        // refuses when geometry changed (cell size follows `max_range`,
-        // so decay of the node holding the largest range forces a full
-        // re-index; decay elsewhere, e.g. under a mains gateway's
-        // larger range, does not) or the grid is in a clamped regime,
-        // keeping contents and clamp accounting byte-identical to the
-        // from-scratch path.
-        if !self.try_incremental_grid(max_range) {
-            let shards = self.advance_shards.min(self.positions.len()).max(1);
-            match self.grid.rebuild_sharded(self.arena, max_range, &self.positions, shards) {
-                Ok(clamped) => {
-                    if clamped {
-                        self.stats.grid_cell_clamps += 1;
-                    }
-                }
-                // Documented panic: construction validated the arena
-                // finite and `max_range` is clamped positive above, so
-                // degenerate geometry cannot reach a live network.
-                // agentlint::allow(no-panic-in-kernel)
-                Err(e) => panic!("grid rebuild on live network: {e}"),
-            }
-        }
-        self.snap_positions.clear();
-        self.snap_positions.extend_from_slice(&self.positions);
+        self.reindex_grid(max_range);
         self.derive_out_rows();
-        self.scratch_links.set_sorted_out_rows(&self.out_rows);
-        self.stats.link_rebuilds += 1;
-        if self.scratch_links != self.links {
-            // Per-link churn accounting happens only on the (already
-            // O(E)-compared) changed topologies, never on quiescent steps.
-            let (formed, broken) = Self::edge_diff(&self.scratch_links, &self.links);
-            self.stats.links_formed += formed;
-            self.stats.links_broken += broken;
-            std::mem::swap(&mut self.scratch_links, &mut self.links);
+        self.links = DiGraph::from_sorted_out_rows(std::mem::take(&mut self.out_rows));
+        if !self.links.is_empty() {
             self.topology_version += 1;
-            self.stats.topology_bumps += 1;
         }
     }
 
-    /// Attempts the incremental grid refresh: diffs current positions
-    /// against the last snapshot, and if at most
+    /// Refreshes the grid, then edits the link table to match the node
+    /// state the drift scan snapshotted. With at most
+    /// [`LINK_DELTA_MAX_DIRTY`] of the nodes dirty, only the rows around
+    /// them are touched ([`Self::collect_delta_edits`]); above it one
+    /// fused pass re-derives every row ([`Self::collect_full_edits`]).
+    /// Both end in the same sequential edit pass in ascending row order,
+    /// which keeps `topology_version` and the stats byte-identical
+    /// across shard counts and between the two paths.
+    #[agentnet::hot_path]
+    fn rebuild_links(&mut self, max_range: f64) {
+        // Cell size of the max range keeps candidate sets tight while the
+        // 3x3 cell neighbourhood of a query still covers the whole disc.
+        //
+        // Incremental path: when few nodes moved, the grid moves just
+        // those nodes between cells. The grid refuses when geometry
+        // changed (cell size follows `max_range`, so decay of the node
+        // holding the largest range forces a full re-index; decay
+        // elsewhere, e.g. under a mains gateway's larger range, does
+        // not) or the grid is in a clamped regime, keeping contents and
+        // clamp accounting byte-identical to the from-scratch path.
+        if !self.try_incremental_grid(max_range) {
+            self.reindex_grid(max_range);
+        }
+        self.stats.link_rebuilds += 1;
+        // agentlint::allow(no-lossy-cast) — fraction of a node count.
+        let budget = (self.positions.len() as f64 * LINK_DELTA_MAX_DIRTY) as usize;
+        if self.dirty.len() <= budget {
+            self.collect_delta_edits(max_range);
+            self.stats.link_delta_updates += 1;
+        } else {
+            self.collect_full_edits();
+        }
+        self.apply_edits();
+    }
+
+    /// Re-indexes the grid from scratch at cell size `max_range`, over
+    /// contiguous shards when configured.
+    #[agentnet::hot_path]
+    fn reindex_grid(&mut self, max_range: f64) {
+        let shards = self.advance_shards.min(self.positions.len()).max(1);
+        match self.grid.rebuild_sharded(self.arena, max_range, &self.positions, shards) {
+            Ok(clamped) => {
+                if clamped {
+                    self.stats.grid_cell_clamps += 1;
+                }
+            }
+            // Documented panic: construction validated the arena finite
+            // and `max_range` is clamped positive by the caller, so
+            // degenerate geometry cannot reach a live network.
+            // agentlint::allow(no-panic-in-kernel)
+            Err(e) => panic!("grid rebuild on live network: {e}"),
+        }
+    }
+
+    /// Attempts the incremental grid refresh: if at most
     /// [`GRID_INCREMENTAL_MAX_MOVED`] of the nodes moved, asks the grid
     /// to splice exactly those. Returns `false` (grid untouched) when
     /// disabled, too many nodes moved, or the grid declined — the caller
     /// falls back to the full sharded re-index.
     #[agentnet::hot_path]
     fn try_incremental_grid(&mut self, max_range: f64) -> bool {
-        if !self.grid_incremental || self.positions.len() != self.snap_positions.len() {
-            return false;
-        }
         // agentlint::allow(no-lossy-cast) — fraction of a node count.
         let budget = (self.positions.len() as f64 * GRID_INCREMENTAL_MAX_MOVED) as usize;
-        self.scratch_moved.clear();
-        for (i, (p, old)) in self.positions.iter().zip(&self.snap_positions).enumerate() {
-            if p != old {
-                if self.scratch_moved.len() == budget {
-                    return false;
-                }
-                self.scratch_moved.push(i);
-            }
+        if !self.grid_incremental || self.moved.len() > budget {
+            return false;
         }
-        let applied = self.grid.incremental_update(
-            self.arena,
-            max_range,
-            &self.positions,
-            &self.scratch_moved,
-        );
+        let applied =
+            self.grid.incremental_update(self.arena, max_range, &self.positions, &self.moved);
         if applied {
             self.stats.grid_incremental_updates += 1;
         }
@@ -537,6 +617,115 @@ impl WirelessNetwork {
     /// byte-identical across shard counts and maintenance paths.
     pub fn grid_cells(&self) -> (&[u32], &[u32]) {
         self.grid.flat_cells()
+    }
+
+    /// The delta path: collects the edits that bring the rows around the
+    /// dirty nodes up to date (see [`DeltaInputs::edits_for`]), splitting
+    /// the dirty and moved lists into contiguous shards when configured.
+    /// Shard edit lists are concatenated in shard order; the edit pass
+    /// sorts them, so the partition cannot change the result.
+    #[agentnet::hot_path]
+    fn collect_delta_edits(&mut self, max_range: f64) {
+        for &i in &self.dirty {
+            if let Some(flag) = self.is_dirty.get_mut(i) {
+                *flag = true;
+            }
+        }
+        let shards = self.advance_shards.min(self.dirty.len()).max(1);
+        if self.delta_shards.len() < shards {
+            // Warm-up only: the per-shard scratch is reused after.
+            // agentlint::allow(no-alloc-in-hot-path)
+            self.delta_shards.resize_with(shards, DeltaScratch::default);
+        }
+        let inputs = DeltaInputs {
+            grid: &self.grid,
+            positions: &self.snap_positions,
+            ranges: &self.snap_ranges,
+            links: &self.links,
+            is_dirty: &self.is_dirty,
+            max_range,
+        };
+        let (dirty, moved) = (self.dirty.as_slice(), self.moved.as_slice());
+        // Shard `k` of `shards` near-equal contiguous parts of `list`.
+        fn part(list: &[usize], k: usize, shards: usize) -> &[usize] {
+            list.get(list.len() * k / shards..list.len() * (k + 1) / shards).unwrap_or(&[])
+        }
+        if shards <= 1 {
+            if let Some(scratch) = self.delta_shards.first_mut() {
+                inputs.edits_for(dirty, moved, scratch);
+            }
+        } else {
+            let inputs = &inputs;
+            std::thread::scope(|scope| {
+                for (k, scratch) in self.delta_shards.iter_mut().take(shards).enumerate() {
+                    let (dirty, moved) = (part(dirty, k, shards), part(moved, k, shards));
+                    scope.spawn(move || inputs.edits_for(dirty, moved, scratch));
+                }
+            });
+        }
+        for scratch in self.delta_shards.iter().take(shards) {
+            self.edits.extend_from_slice(&scratch.edits);
+        }
+        for &i in &self.dirty {
+            if let Some(flag) = self.is_dirty.get_mut(i) {
+                *flag = false;
+            }
+        }
+    }
+
+    /// The fused full pass: re-derives every row (sharded when
+    /// configured) and collects edits for only the rows that differ from
+    /// the current out-lists.
+    #[agentnet::hot_path]
+    fn collect_full_edits(&mut self) {
+        self.derive_out_rows();
+        let Self { out_rows, links, edits, .. } = self;
+        for (i, row) in out_rows.iter().enumerate() {
+            let from = NodeId::new(i);
+            let before = links.out_neighbors(from);
+            if row.as_slice() != before {
+                diff_sorted(row, before.iter().copied(), |to, formed| {
+                    edits.push((from, to, formed));
+                });
+            }
+        }
+    }
+
+    /// Applies the collected edits in ascending `(row, target)` order as
+    /// sorted inserts and removals on the out- and in-lists, counting the
+    /// links formed and broken. Bumps `topology_version` iff some edit
+    /// changed the table, and then records the changed rows for that
+    /// bump; a rebuild without a bump leaves the previous bump's record.
+    #[agentnet::hot_path]
+    fn apply_edits(&mut self) {
+        self.edits.sort_unstable();
+        let (mut formed, mut broken) = (0u64, 0u64);
+        for &(from, to, form) in &self.edits {
+            let applied =
+                if form { self.links.add_edge(from, to) } else { self.links.remove_edge(from, to) };
+            if !applied {
+                continue;
+            }
+            if formed + broken == 0 {
+                self.changed_rows.clear();
+            }
+            if form {
+                formed += 1;
+            } else {
+                broken += 1;
+            }
+            if self.changed_rows.last() != Some(&from) {
+                self.changed_rows.push(from);
+            }
+        }
+        self.edits.clear();
+        if formed + broken > 0 {
+            self.stats.links_formed += formed;
+            self.stats.links_broken += broken;
+            self.topology_version += 1;
+            self.stats.topology_bumps += 1;
+            self.changed_version = self.topology_version;
+        }
     }
 
     /// Derives every node's sorted out-neighbour row into the reused
@@ -612,28 +801,123 @@ impl WirelessNetwork {
         }
     }
 
-    /// Directed edges present in `new` but not `old`, and vice versa.
-    /// Neighbor lists are short (a node covers a handful of peers), so
-    /// the per-node quadratic membership scan beats sorting or hashing —
-    /// and allocates nothing.
-    fn edge_diff(new: &DiGraph, old: &DiGraph) -> (u64, u64) {
-        let mut formed = 0u64;
-        let mut broken = 0u64;
-        for i in 0..new.node_count() {
-            let v = NodeId::new(i);
-            let after = new.out_neighbors(v);
-            let before = old.out_neighbors(v);
-            formed += after.iter().filter(|n| !before.contains(n)).count() as u64;
-            broken += before.iter().filter(|n| !after.contains(n)).count() as u64;
-        }
-        (formed, broken)
-    }
-
     /// Fraction of non-gateway nodes with *instantaneous graph* reachability
     /// to at least one gateway — an upper bound on routed connectivity,
     /// useful as a diagnostic for how connectable the topology is.
     pub fn reachability_upper_bound(&self) -> f64 {
         agentnet_graph::connectivity::fraction_reaching(&self.links, &self.gateways)
+    }
+}
+
+/// One shard's scratch of the delta path: a row buffer and its edits.
+#[derive(Clone, Debug, Default)]
+struct DeltaScratch {
+    row: Vec<NodeId>,
+    edits: Vec<(NodeId, NodeId, bool)>,
+}
+
+/// What the delta path reads: the refreshed grid and snapshot, the
+/// links before any edit, and which nodes are dirty.
+struct DeltaInputs<'a> {
+    grid: &'a SpatialGrid,
+    positions: &'a [Point2],
+    ranges: &'a [f64],
+    links: &'a DiGraph,
+    is_dirty: &'a [bool],
+    /// The largest effective range, no smaller than any node's range.
+    max_range: f64,
+}
+
+impl DeltaInputs<'_> {
+    /// Collects into `out.edits` the edits for the given dirty and moved
+    /// nodes.
+    ///
+    /// * Each dirty node re-derives its own row and diffs it against its
+    ///   out-list.
+    /// * Each moved node `j` finds the clean nodes that cover it now with
+    ///   one grid query around its new position at `max_range`, and
+    ///   diffs them against the clean part of its in-list. The in-list
+    ///   holds exactly who covered `j` before, so its old position needs
+    ///   no query.
+    ///
+    /// A clean row can only change by gaining or losing a moved node, so
+    /// the edits of every dirty and moved node together make the table
+    /// equal to the full derivation.
+    #[agentnet::hot_path]
+    fn edits_for(&self, dirty: &[usize], moved: &[usize], out: &mut DeltaScratch) {
+        let DeltaScratch { row, edits } = out;
+        edits.clear();
+        for &i in dirty {
+            let (Some(p), Some(r)) = (self.positions.get(i..=i), self.ranges.get(i..=i)) else {
+                continue;
+            };
+            WirelessNetwork::fill_rows(
+                self.grid,
+                self.positions,
+                p,
+                r,
+                i,
+                std::slice::from_mut(row),
+            );
+            let from = NodeId::new(i);
+            diff_sorted(row, self.links.out_neighbors(from).iter().copied(), |to, formed| {
+                edits.push((from, to, formed));
+            });
+        }
+        let clean = |v: usize| self.is_dirty.get(v).is_some_and(|&d| !d);
+        for &j in moved {
+            let Some(&pj) = self.positions.get(j) else { continue };
+            row.clear();
+            for i in self.grid.candidates_within(pj, self.max_range) {
+                let covers = clean(i)
+                    && self
+                        .positions
+                        .get(i)
+                        .zip(self.ranges.get(i))
+                        .is_some_and(|(&pi, &ri)| pi.distance_sq(pj) <= ri * ri);
+                if covers {
+                    row.push(NodeId::new(i));
+                }
+            }
+            row.sort_unstable();
+            let to = NodeId::new(j);
+            let before = self.links.in_neighbors(to).iter().copied().filter(|v| clean(v.index()));
+            diff_sorted(row, before, |from, formed| edits.push((from, to, formed)));
+        }
+    }
+}
+
+/// Merge-diffs two ascending id sequences: `emit(id, true)` for every id
+/// only in `after`, `emit(id, false)` for every id only in `before`, in
+/// ascending id order.
+#[agentnet::hot_path]
+fn diff_sorted(
+    after: &[NodeId],
+    before: impl Iterator<Item = NodeId>,
+    mut emit: impl FnMut(NodeId, bool),
+) {
+    let mut after = after.iter().copied().peekable();
+    let mut before = before.peekable();
+    loop {
+        match (after.peek().copied(), before.peek().copied()) {
+            (Some(a), Some(b)) if a == b => {
+                after.next();
+                before.next();
+            }
+            (Some(a), Some(b)) if a < b => {
+                emit(a, true);
+                after.next();
+            }
+            (_, Some(b)) => {
+                emit(b, false);
+                before.next();
+            }
+            (Some(a), None) => {
+                emit(a, true);
+                after.next();
+            }
+            (None, None) => break,
+        }
     }
 }
 
@@ -892,6 +1176,106 @@ mod tests {
         net.advance();
         let scratch = WirelessNetwork::from_nodes(net.arena(), net.nodes().to_vec(), 99);
         assert_eq!(net.links(), scratch.links());
+    }
+
+    /// The links a from-scratch derivation gives on `net`'s node state.
+    fn derived(net: &WirelessNetwork) -> DiGraph {
+        WirelessNetwork::from_nodes(net.arena(), net.nodes(), 0).links().clone()
+    }
+
+    /// Rows whose out-list differs between two link tables.
+    fn differing_rows(a: &DiGraph, b: &DiGraph) -> Vec<NodeId> {
+        a.nodes().filter(|&v| a.out_neighbors(v) != b.out_neighbors(v)).collect()
+    }
+
+    /// 40 stationary mains nodes on a 10 m lattice, ranges 12–15 m.
+    fn lattice() -> Vec<WirelessNode> {
+        (0..40)
+            .map(|i| {
+                let (x, y) = ((i % 8) as f64 * 10.0, (i / 8) as f64 * 10.0);
+                still_node(i, x + 5.0, y + 5.0, 12.0 + (i % 4) as f64)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn teleport_is_applied_by_the_delta_path() {
+        let mut net = WirelessNetwork::from_nodes(Rect::square(100.0), lattice(), 1);
+        let before = net.links().clone();
+        net.node_mut(NodeId::new(9)).position = Point2::new(72.0, 31.0);
+        net.advance();
+        assert_eq!(net.links(), &derived(&net));
+        assert_ne!(net.links(), &before);
+        let stats = net.stats();
+        assert_eq!((stats.link_rebuilds, stats.link_delta_updates), (1, 1));
+        // The teleported node's row and every row that gained or lost it.
+        let changed = differing_rows(&before, net.links());
+        assert!(changed.len() > 1 && changed.contains(&NodeId::new(9)));
+        assert_eq!(net.rows_changed_since(net.topology_version() - 1), Some(&changed[..]));
+    }
+
+    #[test]
+    fn range_change_on_a_stationary_node_edits_only_its_row() {
+        let mut net = WirelessNetwork::from_nodes(Rect::square(100.0), lattice(), 1);
+        let before = net.links().clone();
+        net.node_mut(NodeId::new(12)).battery =
+            BatteryState::with_charge(BatteryModel::Mains, 0.25);
+        net.advance();
+        assert_eq!(net.links(), &derived(&net));
+        assert_eq!(differing_rows(&before, net.links()), [NodeId::new(12)]);
+        assert_eq!(
+            net.rows_changed_since(net.topology_version() - 1),
+            Some(&[NodeId::new(12)][..])
+        );
+        // Nobody moved, so nobody else's coverage of node 12 changed.
+        assert_eq!(net.links().in_neighbors(NodeId::new(12)), before.in_neighbors(NodeId::new(12)));
+        assert_eq!(net.stats().link_delta_updates, 1);
+    }
+
+    #[test]
+    fn decay_of_the_max_range_node_reindexes_the_grid_under_the_delta_path() {
+        // One long-range node on a decaying battery holds the max range,
+        // so every step changes the grid's cell size while only that one
+        // node is dirty.
+        let mut nodes = lattice();
+        nodes[20].nominal_range = 45.0;
+        nodes[20].battery = BatteryState::new(BatteryModel::Linear { per_step: 0.05, floor: 0.25 });
+        let mut net = WirelessNetwork::from_nodes(Rect::square(100.0), nodes, 1);
+        for _ in 0..20 {
+            net.advance();
+            let scratch = WirelessNetwork::from_nodes(net.arena(), net.nodes(), 0);
+            assert_eq!(net.links(), scratch.links());
+            assert_eq!(net.grid_cells(), scratch.grid_cells());
+        }
+        let stats = net.stats();
+        assert_eq!(stats.link_delta_updates, stats.link_rebuilds);
+        // Even floored, the node's 22.5 m outranges the lattice's 15 m.
+        assert_eq!(stats.link_rebuilds, 15, "the battery floors after 15 decaying steps");
+        assert_eq!(stats.grid_incremental_updates, 0, "the cell size changed every rebuild");
+        assert!(stats.topology_bumps > 0);
+    }
+
+    #[test]
+    fn rows_changed_since_names_only_the_last_bump() {
+        let mut net = WirelessNetwork::from_nodes(Rect::square(100.0), lattice(), 1);
+        let v0 = net.topology_version();
+        assert_eq!(net.rows_changed_since(v0), Some(&[][..]));
+        assert_eq!(net.rows_changed_since(v0 - 1), None, "construction records no rows");
+        net.node_mut(NodeId::new(3)).battery = BatteryState::with_charge(BatteryModel::Mains, 0.0);
+        net.advance();
+        let v1 = net.topology_version();
+        assert_eq!(v1, v0 + 1);
+        assert_eq!(net.rows_changed_since(v1), Some(&[][..]));
+        assert_eq!(net.rows_changed_since(v0), Some(&[NodeId::new(3)][..]));
+        // A rebuild without a bump keeps the last bump's record.
+        net.refresh_links();
+        assert_eq!(net.topology_version(), v1);
+        assert_eq!(net.rows_changed_since(v0), Some(&[NodeId::new(3)][..]));
+        net.node_mut(NodeId::new(30)).battery = BatteryState::with_charge(BatteryModel::Mains, 0.0);
+        net.advance();
+        assert_eq!(net.rows_changed_since(v1), Some(&[NodeId::new(30)][..]));
+        assert_eq!(net.rows_changed_since(v0), None, "two bumps behind");
+        assert_eq!(net.rows_changed_since(v1 + 5), None, "ahead of the network");
     }
 
     #[test]

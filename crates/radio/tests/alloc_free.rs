@@ -64,8 +64,8 @@ fn steady_state_advance_performs_zero_heap_allocations() {
         .build(42)
         .expect("paper routing topology must build");
 
-    // Warm the caches: the first advance builds the spatial grid, the
-    // snapshots and the double-buffered link graphs.
+    // Warm the caches: the first advance runs the drift scan over the
+    // snapshots the construction took.
     net.advance();
     let version = net.topology_version();
 

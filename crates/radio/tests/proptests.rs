@@ -1,12 +1,53 @@
 //! Property-based tests for the wireless substrate.
 
 use agentnet_graph::geometry::{Point2, Rect};
+use agentnet_graph::{DiGraph, NodeId};
 use agentnet_radio::mobility::Motion;
-use agentnet_radio::{BatteryModel, BatteryState, NetworkBuilder, SpatialGrid};
+use agentnet_radio::{
+    BatteryModel, BatteryState, NetworkBuilder, SpatialGrid, WirelessNetwork, LINK_DELTA_MAX_DIRTY,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
+
+/// Every directed link of `links` as an ordered set.
+fn edge_set(links: &DiGraph) -> BTreeSet<(NodeId, NodeId)> {
+    links.edges().map(|e| (e.from, e.to)).collect()
+}
+
+/// The link table a from-scratch derivation gives on `net`'s current
+/// node state.
+fn derived_links(net: &WirelessNetwork) -> DiGraph {
+    WirelessNetwork::from_nodes(net.arena(), net.nodes(), 0).links().clone()
+}
+
+/// Both link-maintenance paths must engage where the benchmark's
+/// workloads put them: the in-place delta on a 2%-mobile mains network,
+/// the fused full pass on the paper's MANET. Without this the
+/// differential property below could pass having exercised one path.
+#[test]
+fn both_link_paths_engage() {
+    let mut lowmob = NetworkBuilder::new(300)
+        .gateways(12)
+        .mobile_fraction(0.02)
+        .mobile_battery(BatteryModel::Mains)
+        .min_initial_reachability(0.0)
+        .build(5)
+        .unwrap();
+    let mut manet = NetworkBuilder::paper_routing().build(5).unwrap();
+    for _ in 0..20 {
+        lowmob.advance();
+        manet.advance();
+    }
+    let (low, paper) = (lowmob.stats(), manet.stats());
+    assert!(low.link_delta_updates > 0, "2%-mobile mains never took the delta path: {low:?}");
+    assert_eq!(low.link_delta_updates, low.link_rebuilds);
+    assert!(
+        paper.link_rebuilds > paper.link_delta_updates,
+        "the paper MANET never took the fused pass: {paper:?}"
+    );
+}
 
 proptest! {
     #[test]
@@ -287,6 +328,70 @@ proptest! {
             prop_assert_eq!(a, b);
         }
         prop_assert_eq!(with_inc.nodes(), without.nodes());
+    }
+
+    /// Link maintenance in place is exact. After every step, at any
+    /// mobile fraction, battery model and shard count: the links equal a
+    /// from-scratch derivation, the formed/broken counters advance by
+    /// the set differences against the previous links, the version
+    /// bumps iff the links changed, the changed-row record names exactly
+    /// the rows that differ, and a sharded twin agrees in links, version
+    /// and stats. Each case also pins which path it took: low mobility
+    /// is all delta edits, high mobility all fused passes.
+    #[test]
+    fn link_edits_match_the_full_derivation(
+        seed in 0u64..1000,
+        nodes in 20usize..300,
+        mobile_pick in 0usize..5,
+        paper_battery in 0usize..2,
+        shards_pick in 0usize..3,
+    ) {
+        let mobile = [0.0, 0.01, 0.05, 0.3, 1.0][mobile_pick];
+        let shards = [1usize, 2, 7][shards_pick];
+        let battery = if paper_battery == 1 { BatteryModel::paper_mobile() } else { BatteryModel::Mains };
+        let build = |s: usize| {
+            NetworkBuilder::new(nodes)
+                .gateways(nodes / 25)
+                .mobile_fraction(mobile)
+                .mobile_battery(battery)
+                .min_initial_reachability(0.0)
+                .advance_shards(s)
+                .build(seed)
+                .unwrap()
+        };
+        let mut net = build(1);
+        let mut twin = build(shards);
+        for _ in 0..40 {
+            let before = net.links().clone();
+            let (stats, version) = (net.stats(), net.topology_version());
+            net.advance();
+            twin.advance();
+            let after = net.links();
+            prop_assert_eq!(after, &derived_links(&net));
+            let (old, new) = (edge_set(&before), edge_set(after));
+            let s = net.stats();
+            prop_assert_eq!(s.links_formed - stats.links_formed, new.difference(&old).count() as u64);
+            prop_assert_eq!(s.links_broken - stats.links_broken, old.difference(&new).count() as u64);
+            prop_assert_eq!(net.topology_version() != version, &before != after);
+            let changed: Vec<NodeId> = (0..nodes)
+                .map(NodeId::new)
+                .filter(|&v| before.out_neighbors(v) != after.out_neighbors(v))
+                .collect();
+            prop_assert_eq!(net.rows_changed_since(version), Some(&changed[..]));
+            prop_assert_eq!(twin.links(), after);
+            prop_assert_eq!(twin.topology_version(), net.topology_version());
+            prop_assert_eq!(twin.stats(), s);
+        }
+        let s = net.stats();
+        let movers = net.nodes().iter().filter(|n| n.kind.is_mobile()).count();
+        if movers > 0 && (movers as f64) <= nodes as f64 * LINK_DELTA_MAX_DIRTY {
+            prop_assert!(s.link_delta_updates > 0, "delta path never engaged: {:?}", s);
+            prop_assert_eq!(s.link_delta_updates, s.link_rebuilds);
+        }
+        if movers as f64 > nodes as f64 * LINK_DELTA_MAX_DIRTY {
+            prop_assert!(s.link_rebuilds > 0);
+            prop_assert_eq!(s.link_delta_updates, 0, "fused pass never engaged");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use agentnet_baselines::zoo::{build_protocol, ZooParams};
 use agentnet_core::routing::{ProtocolKind, RoutingProtocol};
 use agentnet_engine::Step;
 use agentnet_graph::NodeId;
-use agentnet_radio::NetworkBuilder;
+use agentnet_radio::{BatteryModel, NetworkBuilder};
 use agentnet_serve::{wire, MapSnapshot, SnapshotCell};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -194,5 +194,39 @@ fn captures_track_table_writes_on_a_static_network() {
             grew |= snap.reachable_fraction() > initial.reachable_fraction();
         }
         assert!(grew, "{kind}: no table write ever reached a gateway; the test is vacuous");
+    }
+}
+
+/// On a low-mobility network nearly every step bumps the link topology,
+/// yet only the rows around the 2% of nodes that moved change, and the
+/// route book revalidates only those. After every step each arm's
+/// incremental reachability, and a capture of it, must still equal the
+/// from-scratch reference.
+#[test]
+fn reachability_tracks_changed_link_rows_on_a_low_mobility_network() {
+    const STEPS: u64 = 60;
+    for kind in ProtocolKind::ALL {
+        let net = NetworkBuilder::new(150)
+            .gateways(6)
+            .mobile_fraction(0.02)
+            .mobile_battery(BatteryModel::Mains)
+            .min_initial_reachability(0.0)
+            .build(4)
+            .unwrap();
+        let topology = net.topology_version();
+        let mut protocol = build_protocol(kind, net, &ZooParams::with_population(30), 4).unwrap();
+        for s in 0..STEPS {
+            protocol.step(Step::new(s));
+            assert_eq!(
+                protocol.reached(),
+                &protocol.reached_from_scratch()[..],
+                "{kind}: reachability at step {s}"
+            );
+            let snap = MapSnapshot::capture(protocol.as_ref(), Step::new(s + 1));
+            assert_reachability_matches_reference(&snap, protocol.as_ref());
+        }
+        let stats = protocol.network().stats();
+        assert!(protocol.network().topology_version() > topology, "{kind}: links never changed");
+        assert_eq!(stats.link_delta_updates, stats.link_rebuilds, "{kind}: {stats:?}");
     }
 }
